@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checks import reference_rows, render_table
+from .checks import _gram2, reference_rows, render_table
 from .errors import LowdinKitError
 from .fileformats import (
     basis_to_dict,
@@ -31,7 +31,6 @@ from .fileformats import (
     round_tree,
     vector_to_pairs,
 )
-from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
 from .measures import measure_report
 from .ortho import OrthoMethod, gram_schmidt, lowdin_canonical, lowdin_symmetric
 from .states import (
@@ -151,9 +150,6 @@ def cmd_orthogonalize(args) -> int:
     else:
         order = None
         result = _METHODS[args.method](basis)
-    residual = float(
-        np.linalg.norm(result.basis.gram.matrix - np.eye(basis.num_vectors))
-    )
     report = AnalysisReport(
         command="orthogonalize",
         input=obj,
@@ -162,7 +158,7 @@ def cmd_orthogonalize(args) -> int:
         basis=basis_to_dict(result.basis)["vectors"],
         transform=matrix_to_pairs(result.transform),
         distortion=result.distortion,
-        orthonormality_error=residual,
+        orthonormality_error=result.orthonormality_error,
     )
     _emit(report.to_json(), args.out)
     return 0
@@ -274,10 +270,6 @@ def parse_sweep_spec(obj) -> SweepSpec:
         fixed={k: float(v) for k, v in fixed.items()},
         out=obj.get("out"),
     )
-
-
-def _gram2(s: float) -> GramMatrix:
-    return gram_from_overlaps(OverlapSpec(2, [(1, 2, s)]))
 
 
 def run_sweep(spec: SweepSpec) -> str:

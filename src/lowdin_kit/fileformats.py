@@ -113,10 +113,6 @@ def parse_gram(obj) -> GramMatrix:
     return gram_from_overlaps(OverlapSpec(dim, pairs))
 
 
-def gram_to_dict(g: GramMatrix) -> dict:
-    return {"dim": g.dim, "matrix": matrix_to_pairs(g.matrix)}
-
-
 def parse_basis(obj) -> BasisSet:
     """Parse a basis.json object (list of column vectors)."""
     if not isinstance(obj, dict):

@@ -1,7 +1,8 @@
 """Overlap (Gram) matrices of non-orthogonal basis sets.
 
 A GramMatrix is Hermitian positive definite with unit diagonal; it owns
-its eigendecomposition and caches the +-1/2 powers used throughout.
+its one eigendecomposition, from which the cached +-1/2 powers used
+throughout are derived.
 The inner product convention is conjugate-linear in the first slot:
 ``O_ij = <c_i | c_j> = c_i+ c_j``.
 """
@@ -31,7 +32,8 @@ _RANDOM_GRAM_TRIES = 1000
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Validated overlap matrix. Immutable; powers are computed lazily once."""
+    """Validated overlap matrix. Immutable; it is diagonalized at most once
+    and the powers are computed lazily from that decomposition."""
 
     matrix: np.ndarray
 
@@ -43,10 +45,7 @@ class GramMatrix:
             raise ValueError("overlap matrix needs dimension >= 2")
         if not np.all(np.isfinite(a)):
             raise ValueError("overlap matrix contains non-finite entries")
-        dev = float(np.max(np.abs(a - a.conj().T)))
-        if dev > linalg.hermiticity_tolerance(a):
-            raise NotHermitian(f"overlap matrix asymmetry {dev:.3e}")
-        a = 0.5 * (a + a.conj().T)
+        a = linalg._hermitian_part(a, NotHermitian, "overlap matrix")
         diag_dev = float(np.max(np.abs(np.diag(a) - 1.0)))
         if diag_dev > DIAG_TOL:
             raise NotNormalized(f"diagonal deviates from 1 by {diag_dev:.3e}")
@@ -55,12 +54,11 @@ class GramMatrix:
             raise NotPositiveDefinite("an off-diagonal overlap has magnitude >= 1")
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
-        lam_min = float(self.eigen.eigenvalues[0])
-        if lam_min <= linalg.LAMBDA_FLOOR:
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {lam_min:.3e} is at or below "
-                f"{linalg.LAMBDA_FLOOR:.0e}"
-            )
+        # Weyl: every eigenvalue lies within ||O - I||_2 <= ||O - I||_F of 1,
+        # so below this distance O is proven positive definite and the
+        # eigendecomposition can wait until something needs it.
+        if np.linalg.norm(off) >= 1.0 - linalg.LAMBDA_FLOOR:
+            linalg._check_floor(self.eigen)
 
     @property
     def dim(self) -> int:
@@ -73,14 +71,14 @@ class GramMatrix:
     @cached_property
     def sqrt(self) -> np.ndarray:
         """O^{1/2}, Hermitian, cached."""
-        s = linalg.matrix_function(self.matrix, 0.5)
+        s = linalg._half_power(self.eigen, 0.5)
         s.setflags(write=False)
         return s
 
     @cached_property
     def inv_sqrt(self) -> np.ndarray:
         """O^{-1/2}, Hermitian, cached."""
-        s = linalg.matrix_function(self.matrix, -0.5)
+        s = linalg._half_power(self.eigen, -0.5)
         s.setflags(write=False)
         return s
 

@@ -43,6 +43,34 @@ class HermitianEigenDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
+def _hermitian_part(m: np.ndarray, error=NotHermitian, what: str = "matrix") -> np.ndarray:
+    """Raise error if m deviates from Hermiticity beyond tolerance, else
+    return its Hermitian part, so roundoff-level asymmetry cannot leak on."""
+    tol = hermiticity_tolerance(m)
+    dev = float(np.max(np.abs(m - m.conj().T)))
+    if dev > tol:
+        raise error(f"{what} asymmetry {dev:.3e} exceeds {tol:.3e}")
+    return 0.5 * (m + m.conj().T)
+
+
+def _check_floor(eig: HermitianEigenDecomposition) -> float:
+    """Smallest eigenvalue; NotPositiveDefinite if at or below LAMBDA_FLOOR."""
+    lam_min = float(eig.eigenvalues[0])
+    if lam_min <= LAMBDA_FLOOR:
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {lam_min:.3e} is at or below {LAMBDA_FLOOR:.0e}"
+        )
+    return lam_min
+
+
+def _half_power(eig: HermitianEigenDecomposition, exponent: float) -> np.ndarray:
+    """U diag(lambda**exponent) U+ from a positive-definite decomposition."""
+    u = eig.eigenvectors
+    powered = (u * eig.eigenvalues**exponent) @ u.conj().T
+    # Re-Hermitize: exact symmetry is part of the contract.
+    return 0.5 * (powered + powered.conj().T)
+
+
 def hermitian_eig(m) -> HermitianEigenDecomposition:
     """Diagonalize a Hermitian matrix.
 
@@ -51,21 +79,12 @@ def hermitian_eig(m) -> HermitianEigenDecomposition:
     The returned eigenvalues are sorted ascending and the eigenvector
     matrix is unitary.
     """
-    a = _as_square_complex(m)
-    tol = hermiticity_tolerance(a)
-    dev = float(np.max(np.abs(a - a.conj().T)))
-    if dev > tol:
-        raise NotHermitian(f"max |m_ij - conj(m_ji)| = {dev:.3e} exceeds {tol:.3e}")
-    # Work on the Hermitian part so roundoff-level asymmetry cannot leak
-    # into the decomposition.
-    sym = 0.5 * (a + a.conj().T)
+    sym = _hermitian_part(_as_square_complex(m))
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    eigenvalues = eigenvalues.copy()
     eigenvalues.setflags(write=False)
-    eigenvectors = eigenvectors.copy()
     eigenvectors.setflags(write=False)
     return HermitianEigenDecomposition(eigenvalues, eigenvectors)
 
@@ -79,15 +98,8 @@ def matrix_function(m, exponent: float) -> np.ndarray:
     if exponent not in (0.5, -0.5):
         raise ValueError(f"exponent must be +-1/2, got {exponent!r}")
     eig = hermitian_eig(m)
-    lam_min = float(eig.eigenvalues[0])
-    if lam_min <= LAMBDA_FLOOR:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.3e} is at or below {LAMBDA_FLOOR:.0e}"
-        )
-    u = eig.eigenvectors
-    powered = (u * eig.eigenvalues**exponent) @ u.conj().T
-    # Re-Hermitize: exact symmetry is part of the contract.
-    return 0.5 * (powered + powered.conj().T)
+    _check_floor(eig)
+    return _half_power(eig, exponent)
 
 
 def frobenius_norm(m) -> float:
@@ -101,10 +113,4 @@ def frobenius_norm(m) -> float:
 def condition_number(m) -> float:
     """lambda_max / lambda_min of a Hermitian positive-definite matrix."""
     eig = hermitian_eig(m)
-    lam_min = float(eig.eigenvalues[0])
-    lam_max = float(eig.eigenvalues[-1])
-    if lam_min <= LAMBDA_FLOOR:
-        raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.3e} is at or below {LAMBDA_FLOOR:.0e}"
-        )
-    return lam_max / lam_min
+    return float(eig.eigenvalues[-1]) / _check_floor(eig)

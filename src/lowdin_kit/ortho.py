@@ -9,7 +9,7 @@ overlap matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -19,6 +19,7 @@ from .errors import (
     DegenerateStep,
     DimensionMismatch,
     InvalidParameters,
+    LowdinKitError,
     UnsupportedDimension,
 )
 from .gram import GramMatrix, gram_from_vectors
@@ -51,9 +52,7 @@ class BasisSet:
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
-        # Populate the overlap cache eagerly; this also performs the
-        # unit-norm and independence validation.
-        self.__dict__["gram"] = gram_from_vectors(v)
+        self.gram  # unit-norm and independence validation
 
     @cached_property
     def gram(self) -> GramMatrix:
@@ -70,23 +69,47 @@ class BasisSet:
 
 @dataclass(frozen=True, eq=False)
 class OrthoResult:
-    """Orthonormal basis E, the transform T with E = C T, and the
-    Frobenius distance of E from the input."""
+    """Orthonormal basis E, the transform T with E = C T, the Frobenius
+    distance of E from the input, and the orthonormality residual
+    ||E+ E - I||_F."""
 
     basis: BasisSet
     transform: np.ndarray
     method: OrthoMethod
     distortion: float
+    orthonormality_error: float = field(init=False)
 
     def __post_init__(self):
         t = np.asarray(self.transform, dtype=complex)
         t.setflags(write=False)
         object.__setattr__(self, "transform", t)
-        residual = np.linalg.norm(self.basis.gram.matrix - np.eye(self.basis.num_vectors))
+        residual = float(np.linalg.norm(self.basis.gram.matrix - np.eye(self.basis.num_vectors)))
+        object.__setattr__(self, "orthonormality_error", residual)
         if residual > _ORTHONORMALITY_TOL:
             raise InvalidParameters(f"result basis not orthonormal, residual {residual:.3e}")
         if self.distortion < 0:
             raise ValueError("distortion must be non-negative")
+
+
+def _result(basis: BasisSet, out: np.ndarray, transform, method: OrthoMethod) -> OrthoResult:
+    """Validate an engine's output columns E = C T. A failed check there
+    is the engine's loss of orthonormality, not a fault of the input, so
+    it is reported with the input's conditioning."""
+    try:
+        return OrthoResult(
+            basis=BasisSet(out),
+            transform=transform,
+            method=method,
+            distortion=float(np.linalg.norm(out - basis.vectors)),
+        )
+    except LowdinKitError as exc:
+        loss = float(np.linalg.norm(out.conj().T @ out - np.eye(out.shape[1])))
+        lam = basis.gram.eigen.eigenvalues
+        raise InvalidParameters(
+            f"{method.value} result is not orthonormal: ||E+E - I||_F = {loss:.3e} "
+            f"on an input with lambda_min {lam[0]:.3e}, kappa(O) {lam[-1] / lam[0]:.3e} "
+            f"(output check: {exc})"
+        ) from exc
 
 
 def _resolve_order(d: int, order) -> np.ndarray:
@@ -130,12 +153,7 @@ def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
     out = _gram_schmidt_columns(cols, idx)
     # Recover T with E = C T through the overlap metric.
     transform = np.linalg.solve(basis.gram.matrix, cols.conj().T @ out)
-    return OrthoResult(
-        basis=BasisSet(out),
-        transform=transform,
-        method=OrthoMethod.GRAM_SCHMIDT,
-        distortion=float(np.linalg.norm(out - cols)),
-    )
+    return _result(basis, out, transform, OrthoMethod.GRAM_SCHMIDT)
 
 
 def lowdin_symmetric(basis: BasisSet) -> OrthoResult:
@@ -146,13 +164,7 @@ def lowdin_symmetric(basis: BasisSet) -> OrthoResult:
     permutation symmetry of the overlap matrix.
     """
     transform = basis.gram.inv_sqrt
-    out = basis.vectors @ transform
-    return OrthoResult(
-        basis=BasisSet(out),
-        transform=transform,
-        method=OrthoMethod.LOWDIN_SYMMETRIC,
-        distortion=float(np.linalg.norm(out - basis.vectors)),
-    )
+    return _result(basis, basis.vectors @ transform, transform, OrthoMethod.LOWDIN_SYMMETRIC)
 
 
 def lowdin_canonical(basis: BasisSet) -> OrthoResult:
@@ -164,13 +176,7 @@ def lowdin_canonical(basis: BasisSet) -> OrthoResult:
     """
     eig = basis.gram.eigen
     transform = eig.eigenvectors / np.sqrt(eig.eigenvalues)
-    out = basis.vectors @ transform
-    return OrthoResult(
-        basis=BasisSet(out),
-        transform=transform,
-        method=OrthoMethod.LOWDIN_CANONICAL,
-        distortion=float(np.linalg.norm(out - basis.vectors)),
-    )
+    return _result(basis, basis.vectors @ transform, transform, OrthoMethod.LOWDIN_CANONICAL)
 
 
 def induce_nonorthogonal(gram: GramMatrix) -> BasisSet:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DegenerateTrace, InvalidParameters, ZeroState
 from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
-from .linalg import hermitian_eig, hermiticity_tolerance
+from .linalg import _hermitian_part, hermitian_eig
 
 _PSD_TOL = 1e-10
 _TRACE_TOL = 1e-9
@@ -62,10 +62,7 @@ class DensityOperator:
         d = self.gram.dim
         if rho.shape != (d, d):
             raise ValueError(f"coefficient matrix shape {rho.shape} != ({d}, {d})")
-        dev = float(np.max(np.abs(rho - rho.conj().T)))
-        if dev > hermiticity_tolerance(rho):
-            raise InvalidParameters(f"coefficient matrix asymmetry {dev:.3e}")
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = _hermitian_part(rho, InvalidParameters, "coefficient matrix")
         tr = float(np.real(np.trace(rho)))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise InvalidParameters(f"Tr(rho) = {tr!r} is not 1 within {_TRACE_TOL}")
@@ -92,10 +89,7 @@ class LowdinTransformedState:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        if dev > hermiticity_tolerance(m):
-            raise InvalidParameters(f"transformed state asymmetry {dev:.3e}")
-        m = 0.5 * (m + m.conj().T)
+        m = _hermitian_part(m, InvalidParameters, "transformed state")
         tr = float(np.real(np.trace(m)))
         if abs(tr - 1.0) > _TRACE_TOL:
             raise InvalidParameters(f"transformed state trace {tr!r} is not 1")
@@ -149,23 +143,26 @@ def weights_pure(state: PureState) -> WeightDistribution:
     return WeightDistribution(np.abs(b) ** 2)
 
 
-def _lowdin_transform(gram: GramMatrix, rho: np.ndarray) -> LowdinTransformedState:
+def _lowdin_transform(gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
+    """Unit-trace Hermitian O^{1/2} rho O^{1/2}. A congruence of a PSD rho
+    is PSD, so the result needs no eigendecomposition to be trusted."""
     half = gram.sqrt
     m = half @ rho @ half
     tr = float(np.real(np.trace(m)))
     if tr <= 1e-12:
         raise DegenerateTrace(f"Tr(O rho) = {tr!r} is too small to normalize")
-    return LowdinTransformedState(m / tr)
+    m = m / tr
+    return 0.5 * (m + m.conj().T)
 
 
 def lowdin_density(op: DensityOperator) -> LowdinTransformedState:
     """rho_L = O^{1/2} rho O^{1/2} / Tr(O^{1/2} rho O^{1/2})."""
-    return _lowdin_transform(op.gram, op.coeffs)
+    return LowdinTransformedState(_lowdin_transform(op.gram, op.coeffs))
 
 
 def weights_density(op: DensityOperator) -> WeightDistribution:
     """Diagonal of rho_L; coincides with weights_pure on rank-1 projectors."""
-    return WeightDistribution(np.real(np.diag(lowdin_density(op).matrix)))
+    return WeightDistribution(np.real(np.diag(_lowdin_transform(op.gram, op.coeffs))))
 
 
 def closed_form_2d_weights(p: float, q: float, s: float) -> WeightDistribution:
@@ -205,8 +202,8 @@ def offdiagonal_decomposition(op: DensityOperator) -> tuple[np.ndarray, np.ndarr
     """
     diag = np.diag(np.diag(op.coeffs))
     diag = diag / np.real(np.trace(diag))
-    artifact = _offdiag(_lowdin_transform(op.gram, diag).matrix)
-    genuine = _offdiag(lowdin_density(op).matrix) - artifact
+    artifact = _offdiag(_lowdin_transform(op.gram, diag))
+    genuine = _offdiag(_lowdin_transform(op.gram, op.coeffs)) - artifact
     return artifact, genuine
 
 

@@ -40,3 +40,12 @@ def random_basis(rng: np.random.Generator, dim: int, ambient: int | None = None,
         raise ValueError("ambient must be >= dim")
     iso = random_unitary(ambient, rng)[:, :dim]
     return BasisSet(iso @ base.vectors)
+
+
+def shared_component_columns(eps: float) -> np.ndarray:
+    """Unit columns g + eps G with g 60x1 and G 60x30 Gaussian from
+    default_rng(3): nearly dependent, yet accepted by the validators
+    (lambda_min(O) is about 7.8e-8 at eps = 1e-3, 7.8e-10 at 1e-4)."""
+    rng = np.random.default_rng(3)
+    cols = rng.standard_normal((60, 1)) + eps * rng.standard_normal((60, 30))
+    return cols / np.linalg.norm(cols, axis=0)

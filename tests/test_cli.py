@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import shared_component_columns
 from lowdin_kit.cli import AnalysisReport, main
 
 SQRT3_2 = 0.8660254037844386
@@ -131,6 +132,21 @@ class TestOrthogonalize:
         code, _, err = run_cli(capsys, ["orthogonalize", "--basis", dep, "--method", "lowdin-sym"])
         assert code == 3
         assert "LinearlyDependent" in err
+
+    def test_engine_output_failure_is_math_error(self, capsys, tmp_path):
+        cols = shared_component_columns(1e-3)
+        basis = write_json(
+            tmp_path / "near_dep.json",
+            {"ambient_dim": 60,
+             "vectors": [[[float(x), 0.0] for x in col] for col in cols.T]},
+        )
+        code, out, err = run_cli(
+            capsys, ["orthogonalize", "--basis", basis, "--method", "lowdin-sym"]
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: InvalidParameters: lowdin-sym result is not orthonormal")
+        assert "lambda_min 7.8" in err and "kappa(O)" in err
+        assert err.count("\n") == 1
 
     def test_unknown_method_exits_2(self, plane_basis_file):
         with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import corpus_rng, random_gram_from
+from conftest import corpus_rng, random_basis, random_gram_from
 from lowdin_kit import (
     BasisSet,
     GenerationFailure,
@@ -15,6 +15,7 @@ from lowdin_kit import (
     gram_from_vectors,
     hermitian_eig,
     induce_nonorthogonal,
+    matrix_function,
     random_gram,
 )
 
@@ -141,6 +142,17 @@ class TestPowers:
         for dim in (2, 4):
             g = random_gram_from(rng, dim)
             assert np.linalg.norm(g.inv_sqrt @ g.sqrt - np.eye(dim)) <= 1e-8
+
+    def test_powers_bit_identical_to_matrix_function(self):
+        # Covers both the near-identity Grams, whose eigendecomposition is
+        # deferred, and raw overlaps of basis columns validated eagerly.
+        rng = corpus_rng(12)
+        for dim in (2, 3, 5, 8):
+            c = random_basis(rng, dim, ambient=dim + 2, overlap_range=(-0.5, 0.5)).vectors
+            for overlap in (random_gram_from(rng, dim).matrix, c.conj().T @ c):
+                g = GramMatrix(overlap)
+                assert np.array_equal(g.sqrt, matrix_function(overlap, 0.5))
+                assert np.array_equal(g.inv_sqrt, matrix_function(overlap, -0.5))
 
     def test_powers_are_cached(self):
         g = overlap2(0.5)

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import corpus_rng, random_basis, random_gram_from, random_unitary
+from conftest import (
+    corpus_rng,
+    random_basis,
+    random_gram_from,
+    random_unitary,
+    shared_component_columns,
+)
 from lowdin_kit import (
     BasisSet,
     DegenerateStep,
@@ -173,6 +179,30 @@ class TestLowdinCanonical:
         assert np.linalg.norm(basis.vectors @ r.transform - r.basis.vectors) <= 1e-9
 
 
+class TestOutputCheckFailure:
+    """On accepted but nearly dependent inputs the engines can lose
+    orthonormality; the error must blame the result, with the input's
+    conditioning, not read as an input fault."""
+
+    @pytest.mark.parametrize(
+        "engine, method, eps, cause",
+        [
+            (lowdin_symmetric, "lowdin-sym", 1e-3, NotNormalized),
+            (lowdin_canonical, "lowdin-can", 1e-3, NotNormalized),
+            (gram_schmidt, "gram-schmidt", 1e-4, InvalidParameters),
+        ],
+    )
+    def test_names_method_loss_and_conditioning(self, engine, method, eps, cause):
+        basis = BasisSet(shared_component_columns(eps))
+        lam = basis.gram.eigen.eigenvalues
+        with pytest.raises(InvalidParameters) as info:
+            engine(basis)
+        msg = str(info.value)
+        assert msg.startswith(f"{method} result is not orthonormal: ||E+E - I||_F = ")
+        assert f"lambda_min {lam[0]:.3e}, kappa(O) {lam[-1] / lam[0]:.3e}" in msg
+        assert isinstance(info.value.__cause__, cause)
+
+
 class TestInduceNonorthogonal:
     def test_identity_gram(self):
         basis = induce_nonorthogonal(gram_from_overlaps(OverlapSpec(3)))
@@ -265,7 +295,9 @@ class TestProperties:
                 lowdin_canonical(basis),
             ):
                 out_gram = gram_from_vectors(result.basis).matrix
-                assert np.linalg.norm(out_gram - np.eye(dim)) <= 1e-8
+                residual = float(np.linalg.norm(out_gram - np.eye(dim)))
+                assert residual <= 1e-8
+                assert result.orthonormality_error == residual
 
     def test_span_preserved(self):
         rng = corpus_rng(41)

@@ -169,6 +169,16 @@ class TestWeightsDensity:
             w_pure = weights_pure(state).weights
             assert np.max(np.abs(w_mixed - w_pure)) <= 1e-9
 
+    def test_bit_identical_to_lowdin_density_diagonal(self):
+        rng = corpus_rng(53)
+        for dim in (2, 3, 5, 8):
+            g = random_gram_from(rng, dim)
+            z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = z @ z.conj().T
+            op = DensityOperator(g, rho / np.real(np.trace(rho)))
+            expected = np.real(np.diag(lowdin_density(op).matrix))
+            assert np.array_equal(weights_density(op).weights, expected)
+
     def test_general_pqs_point(self):
         op = DensityOperator(overlap2(0.5), np.array([[0.6, 0.2], [0.2, 0.4]]))
         assert weights_density(op).weights[0] == pytest.approx(0.5722, abs=1e-4)
