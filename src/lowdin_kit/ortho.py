@@ -126,13 +126,15 @@ def _gram_schmidt_columns(cols: np.ndarray, order: np.ndarray) -> np.ndarray:
 
     Output column k is the orthonormalized image of input column
     order[k]. Projections use the ambient inner product, conjugate-linear
-    in the first slot.
+    in the first slot. Each step takes every projection against the
+    original column at once, h_i = e_i+ c, as one matrix-vector product
+    over the finished columns.
     """
     out = np.zeros_like(cols)
     for k, src in enumerate(order):
-        v = cols[:, src].copy()
-        for i in range(k):
-            v -= out[:, i] * (out[:, i].conj() @ cols[:, src])
+        c = cols[:, src]
+        done = out[:, :k]
+        v = c - done @ (c.conj() @ done).conj()
         norm = np.linalg.norm(v)
         if norm <= 1e-10:
             raise DegenerateStep(f"residual norm {norm:.3e} at step {k + 1}")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import lowdin_kit as lk
+from lowdin_kit.checks import reference_rows
 
 
 def _inputs(d=6):
@@ -49,6 +50,9 @@ OPS = {
         lambda: lk.gram_from_overlaps(lk.OverlapSpec(2, [(1, 2, 0.4)])),
         {},
     ),
+    # 31 rows over many small Grams; the s=0.5 eigenvalue, sqrt and
+    # condition-number rows share one decomposition.
+    "paper_check_rows": (reference_rows, {"eigh": 20}),
 }
 
 

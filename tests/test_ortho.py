@@ -115,6 +115,42 @@ class TestGramSchmidt:
             _gram_schmidt_columns(cols, np.array([0, 1]))
 
 
+def _gram_schmidt_loop(cols, order):
+    """Reference: classical Gram-Schmidt one earlier column at a time."""
+    out = np.zeros_like(cols)
+    for k, src in enumerate(order):
+        v = cols[:, src].copy()
+        for i in range(k):
+            v -= out[:, i] * (out[:, i].conj() @ cols[:, src])
+        out[:, k] = v / np.linalg.norm(v)
+    return out
+
+
+class TestGramSchmidtColumns:
+    """The per-step matrix-vector projection against the original column
+    is the same classical Gram-Schmidt arithmetic as the column-by-column
+    loop; only the summation order differs."""
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("order_kind", ["identity", "reversed", "random"])
+    def test_matches_column_loop(self, d, order_kind):
+        rng = corpus_rng(50 + d)
+        cols = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
+        cols /= np.linalg.norm(cols, axis=0)
+        order = {
+            "identity": np.arange(d),
+            "reversed": np.arange(d)[::-1],
+            "random": rng.permutation(d),
+        }[order_kind]
+        got = _gram_schmidt_columns(cols, order)
+        assert np.max(np.abs(got - _gram_schmidt_loop(cols, order))) <= 1e-13
+
+    def test_equal_columns_fail_at_second_step(self):
+        col = np.array([0.6, 0.8j])
+        with pytest.raises(DegenerateStep, match="at step 2"):
+            _gram_schmidt_columns(np.column_stack([col, col]), np.array([0, 1]))
+
+
 class TestLowdinSymmetric:
     def test_plane_basis_closed_form(self):
         r = lowdin_symmetric(plane_basis())
