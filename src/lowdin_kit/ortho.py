@@ -115,31 +115,61 @@ def _result(basis: BasisSet, out: np.ndarray, transform, method: OrthoMethod) ->
 def _resolve_order(d: int, order) -> np.ndarray:
     if order is None:
         return np.arange(d)
-    idx = np.asarray(order, dtype=int)
+    raw = np.asarray(order)
+    if (
+        raw.dtype.kind not in "iuf"
+        or any(isinstance(k, (bool, np.bool_)) for k in order)
+        or not (np.all(np.isfinite(raw)) and np.all(raw % 1 == 0))
+    ):
+        raise ValueError(f"order {list(order)} must hold integer positions")
+    idx = raw.astype(int)
     if sorted(idx.tolist()) != list(range(d)):
         raise ValueError(f"order {list(order)} is not a permutation of 0..{d - 1}")
     return idx
 
 
-def _gram_schmidt_columns(cols: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Classical Gram-Schmidt on the given columns, processed in order.
+# Columns per block step of the Gram-Schmidt kernel. Larger blocks move
+# more of the projection work into matrix-matrix products but lengthen
+# the column-at-a-time steps inside each block. At d=256 (n=512), with one
+# OpenBLAS thread on a 2-vCPU x86-64 VM, the kernel ran about 5 % slower
+# with 16 or 64 than with 32.
+_GS_BLOCK = 32
 
-    Output column k is the orthonormalized image of input column
-    order[k]. Projections use the ambient inner product, conjugate-linear
-    in the first slot. Each step takes every projection against the
-    original column at once, h_i = e_i+ c, as one matrix-vector product
-    over the finished columns.
+
+def _gram_schmidt_columns(cols: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block classical Gram-Schmidt on the given columns, processed in order.
+
+    Returns (E, R). Output column k of E is the orthonormalized image of
+    input column order[k]; R is upper triangular with a real positive
+    diagonal and cols[:, order] = E R. Projections use the ambient inner
+    product, conjugate-linear in the first slot, and every coefficient is
+    taken against the original column, R[i, k] = e_i+ c, as classical
+    Gram-Schmidt does. Only the summation is blocked: one matrix-matrix
+    product projects a block of _GS_BLOCK columns onto all finished
+    columns, then the block's own columns are done one at a time.
     """
-    out = np.zeros_like(cols)
-    for k, src in enumerate(order):
-        c = cols[:, src]
-        done = out[:, :k]
-        v = c - done @ (c.conj() @ done).conj()
-        norm = np.linalg.norm(v)
-        if norm <= 1e-10:
-            raise DegenerateStep(f"residual norm {norm:.3e} at step {k + 1}")
-        out[:, k] = v / norm
-    return out
+    n, d = cols.shape
+    et = np.empty((d, n), dtype=cols.dtype)  # E transposed: rows are outputs
+    r = np.zeros((d, d), dtype=cols.dtype)
+    for k0 in range(0, d, _GS_BLOCK):
+        k1 = min(k0 + _GS_BLOCK, d)
+        blk = cols[:, order[k0:k1]]
+        blk_c = blk.conj()
+        done = et[:k0]
+        h = (done @ blk_c).conj()
+        r[:k0, k0:k1] = h
+        vt = blk.T - h.T @ done
+        for k in range(k0, k1):
+            prior = et[k0:k]
+            hk = (prior @ blk_c[:, k - k0]).conj()
+            v = vt[k - k0] - hk @ prior
+            norm = np.linalg.norm(v)
+            if norm <= 1e-10:
+                raise DegenerateStep(f"residual norm {norm:.3e} at step {k + 1}")
+            et[k] = v / norm
+            r[k0:k, k] = hk
+            r[k, k] = norm
+    return np.ascontiguousarray(et.T), r
 
 
 def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
@@ -151,10 +181,11 @@ def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
     norm).
     """
     idx = _resolve_order(basis.num_vectors, order)
-    cols = basis.vectors
-    out = _gram_schmidt_columns(cols, idx)
-    # Recover T with E = C T through the overlap metric.
-    transform = np.linalg.solve(basis.gram.matrix, cols.conj().T @ out)
+    out, r = _gram_schmidt_columns(basis.vectors, idx)
+    # C[:, idx] = E R, so E = C T with the rows of T = R^{-1} put back in
+    # input order.
+    transform = np.empty_like(r)
+    transform[idx] = np.linalg.solve(r, np.eye(len(idx)))
     return _result(basis, out, transform, OrthoMethod.GRAM_SCHMIDT)
 
 

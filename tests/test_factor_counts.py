@@ -74,6 +74,23 @@ def test_fresh_inputs_are_far_from_identity():
     assert np.linalg.norm(OVERLAP - np.eye(OVERLAP.shape[0])) >= 1.0
 
 
+def test_gram_schmidt_solves_against_its_triangular_factor(monkeypatch):
+    # The transform is R^{-1} from the engine's own factors, not a solve
+    # against the overlap matrix.
+    operands = []
+
+    def recording(a, b, _real=np.linalg.solve):
+        operands.append(np.array(a))
+        return _real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    lk.gram_schmidt(lk.BasisSet(COLS))
+    (a,) = operands
+    d = COLS.shape[1]
+    assert a.shape == (d, d)
+    assert np.array_equal(a, np.triu(a))
+
+
 @pytest.mark.parametrize("op", sorted(OPS))
 def test_factorization_counts(op, calls):
     run, expected = OPS[op]

@@ -27,7 +27,7 @@ from lowdin_kit import (
     lowdin_symmetric,
     maximally_coherent_image,
 )
-from lowdin_kit.ortho import _gram_schmidt_columns
+from lowdin_kit.ortho import _GS_BLOCK, _gram_schmidt_columns
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 
@@ -109,6 +109,26 @@ class TestGramSchmidt:
         with pytest.raises(ValueError):
             gram_schmidt(plane_basis(), [1, 2])
 
+    @pytest.mark.parametrize(
+        "order", [[1.9, 0.2], [0.5, 1.0], [True, False], [np.True_, 0], [1, False], [np.nan, 0]]
+    )
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(ValueError, match="integer positions"):
+            gram_schmidt(plane_basis(), order)
+
+    def test_integral_order_types_accepted(self):
+        expected = gram_schmidt(plane_basis(), [1, 0]).basis.vectors
+        for order in ([1.0, 0.0], np.array([1, 0], dtype=np.uint8), (np.int64(1), 0)):
+            assert np.array_equal(gram_schmidt(plane_basis(), order).basis.vectors, expected)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3])
+    def test_transform_reconstructs_nearly_dependent_basis(self, eps):
+        # T = R^{-1} from the factors errs like u ||R^{-1}||; a solve
+        # against O errs like u kappa(O) ||T|| (1.4e-10 and 1.7e-8 here).
+        basis = BasisSet(shared_component_columns(eps))
+        r = gram_schmidt(basis)
+        assert np.linalg.norm(basis.vectors @ r.transform - r.basis.vectors) <= 1e-11
+
     def test_degenerate_step_detected(self):
         cols = np.column_stack([np.array([1.0, 0.0]), np.array([1.0, 0.0])]).astype(complex)
         with pytest.raises(DegenerateStep):
@@ -126,24 +146,52 @@ def _gram_schmidt_loop(cols, order):
     return out
 
 
+def _kernel_case(d, order_kind):
+    rng = corpus_rng(50 + d)
+    cols = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
+    cols /= np.linalg.norm(cols, axis=0)
+    order = {
+        "identity": np.arange(d),
+        "reversed": np.arange(d)[::-1],
+        "random": rng.permutation(d),
+    }[order_kind]
+    return cols, order
+
+
 class TestGramSchmidtColumns:
-    """The per-step matrix-vector projection against the original column
-    is the same classical Gram-Schmidt arithmetic as the column-by-column
-    loop; only the summation order differs."""
+    """The blocked projections against the original columns are the same
+    classical Gram-Schmidt arithmetic as the column-by-column loop; only
+    the summation order differs."""
 
     @pytest.mark.parametrize("d", [2, 8, 64])
     @pytest.mark.parametrize("order_kind", ["identity", "reversed", "random"])
     def test_matches_column_loop(self, d, order_kind):
-        rng = corpus_rng(50 + d)
-        cols = rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d))
-        cols /= np.linalg.norm(cols, axis=0)
-        order = {
-            "identity": np.arange(d),
-            "reversed": np.arange(d)[::-1],
-            "random": rng.permutation(d),
-        }[order_kind]
-        got = _gram_schmidt_columns(cols, order)
+        cols, order = _kernel_case(d, order_kind)
+        got, _ = _gram_schmidt_columns(cols, order)
         assert np.max(np.abs(got - _gram_schmidt_loop(cols, order))) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "d", [_GS_BLOCK - 1, _GS_BLOCK, _GS_BLOCK + 1, 2 * _GS_BLOCK + 1, 64]
+    )
+    @pytest.mark.parametrize("order_kind", ["identity", "reversed", "random"])
+    def test_factors_at_block_edges(self, d, order_kind):
+        cols, order = _kernel_case(d, order_kind)
+        e, r = _gram_schmidt_columns(cols, order)
+        assert np.max(np.abs(e - _gram_schmidt_loop(cols, order))) <= 1e-13
+        assert np.linalg.norm(cols[:, order] - e @ r) <= 1e-13
+        assert np.array_equal(r, np.triu(r))
+        diag = np.diag(r)
+        assert np.all(diag.imag == 0) and np.all(diag.real > 0)
+
+    @pytest.mark.parametrize("earlier", [2, _GS_BLOCK + 1])
+    def test_duplicate_in_later_block_fails_at_its_step(self, earlier):
+        # A copy of a column from a finished block is removed by the block
+        # projection; one from its own block by the in-block steps.
+        cols, order = _kernel_case(2 * _GS_BLOCK + 1, "random")
+        step = _GS_BLOCK + 5
+        cols[:, order[step - 1]] = cols[:, order[earlier]]
+        with pytest.raises(DegenerateStep, match=rf"at step {step}$"):
+            _gram_schmidt_columns(cols, order)
 
     def test_equal_columns_fail_at_second_step(self):
         col = np.array([0.6, 0.8j])
