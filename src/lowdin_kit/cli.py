@@ -27,6 +27,7 @@ from .fileformats import (
     fmt12,
     matrix_to_pairs,
     parse_basis,
+    parse_number,
     parse_state,
     round_tree,
     vector_to_pairs,
@@ -43,24 +44,6 @@ from .states import (
     weights_density,
     weights_pure,
 )
-
-_REPORT_FIELDS = (
-    "command",
-    "input",
-    "method",
-    "order",
-    "basis",
-    "transform",
-    "distortion",
-    "orthonormality_error",
-    "lowdin_coefficients",
-    "weights",
-    "rho_lowdin",
-    "offdiagonal_artifact",
-    "offdiagonal_genuine",
-    "measures",
-)
-
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -83,12 +66,9 @@ class AnalysisReport:
     measures: dict | None = None
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in _REPORT_FIELDS:
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = round_tree(value)
-        return out
+        """Set fields in declaration order, every float rounded once."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: round_tree(value) for name, value in values if value is not None}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AnalysisReport":
@@ -182,7 +162,7 @@ def cmd_weights(args) -> int:
     report = AnalysisReport(
         command="weights",
         input=obj,
-        weights=[float(x) for x in w.weights],
+        weights=w.weights.tolist(),
         measures={
             "entropy_bits": m.entropy,
             "participation_ratio": m.participation_ratio,
@@ -256,19 +236,24 @@ def parse_sweep_spec(obj) -> SweepSpec:
     missing = required - set(obj)
     if missing:
         raise ValueError(f"sweep: missing fields {sorted(missing)}")
+    if not isinstance(obj["parameter"], str):
+        raise ValueError("sweep: 'parameter' must be a string")
     rng = obj["range"]
     if not isinstance(rng, list) or len(rng) != 2:
         raise ValueError("sweep: 'range' must be [lo, hi]")
     fixed = obj.get("fixed", {})
     if not isinstance(fixed, dict):
         raise ValueError("sweep: 'fixed' must be an object")
+    out = obj.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError("sweep: 'out' must be a path string")
     return SweepSpec(
         parameter=obj["parameter"],
-        lo=float(rng[0]),
-        hi=float(rng[1]),
+        lo=parse_number(rng[0], "sweep.range"),
+        hi=parse_number(rng[1], "sweep.range"),
         steps=obj["steps"],
-        fixed={k: float(v) for k, v in fixed.items()},
-        out=obj.get("out"),
+        fixed={k: parse_number(v, f"sweep.fixed.{k}") for k, v in fixed.items()},
+        out=out,
     )
 
 

@@ -1,8 +1,11 @@
 """JSON/CSV file formats used by the command-line front end.
 
 Complex scalars are encoded as [re, im] pairs; matrices as flat
-row-major lists of pairs; indices in files are 1-based. Numbers written
-out are rounded to 12 significant digits, which keeps repeated runs
+row-major lists of pairs; indices in files are 1-based. Every number in
+an input file must be a JSON number: strings and booleans are rejected,
+however they read. The encoders below return full-precision floats;
+each number is rounded exactly once, to 12 significant digits, when a
+report is written (`round_tree`), which keeps repeated runs
 byte-identical while re-parsing losslessly.
 
 Schemas:
@@ -24,16 +27,20 @@ from .ortho import BasisSet
 from .states import DensityOperator, PureState, normalize_pure
 
 SIGNIFICANT_DIGITS = 12
-
-
-def round12(x: float) -> float:
-    """Round to 12 significant digits (idempotent)."""
-    return float(f"{float(x):.{SIGNIFICANT_DIGITS}g}")
+# The one 12-digit format. round12 applies it itself rather than calling
+# the public fmt12, so a tracer that wraps public functions records no span
+# per rounded number.
+_FORMAT = f".{SIGNIFICANT_DIGITS}g"
 
 
 def fmt12(x: float) -> str:
     """Fixed 12-significant-digit text form used in CSV cells."""
-    return f"{float(x):.{SIGNIFICANT_DIGITS}g}"
+    return format(float(x), _FORMAT)
+
+
+def round12(x: float) -> float:
+    """Round to 12 significant digits (idempotent)."""
+    return float(format(float(x), _FORMAT))
 
 
 def round_tree(obj):
@@ -49,22 +56,35 @@ def round_tree(obj):
     return obj
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def parse_number(x, what: str) -> float:
+    """A JSON number as a float; ValueError for anything else."""
+    if not _is_number(x):
+        raise ValueError(f"{what}: expected a number, got {x!r}")
+    return float(x)
+
+
 def _as_pair(item, what: str) -> complex:
-    if (
-        not isinstance(item, (list, tuple))
-        or len(item) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in item)
-    ):
+    if not isinstance(item, (list, tuple)) or len(item) != 2 or not all(map(_is_number, item)):
         raise ValueError(f"{what}: expected a [re, im] number pair, got {item!r}")
     return complex(float(item[0]), float(item[1]))
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [round12(z.real), round12(z.imag)]
+def _pairs(a) -> list:
+    """Plain-float [re, im] pairs of an array, nested like its axes."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def vector_to_pairs(v) -> list[list[float]]:
-    return [complex_to_pair(complex(z)) for z in np.asarray(v).reshape(-1)]
+    return _pairs(np.ravel(v))
 
 
 def pairs_to_vector(items, what: str) -> np.ndarray:
@@ -75,7 +95,7 @@ def pairs_to_vector(items, what: str) -> np.ndarray:
 
 def matrix_to_pairs(m) -> list[list[float]]:
     """Row-major flat encoding of a complex matrix."""
-    return vector_to_pairs(np.asarray(m).reshape(-1))
+    return vector_to_pairs(m)
 
 
 def pairs_to_matrix(items, dim: int, what: str) -> np.ndarray:
@@ -87,7 +107,7 @@ def pairs_to_matrix(items, dim: int, what: str) -> np.ndarray:
 
 def _require_int(obj, key: str, what: str) -> int:
     v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise ValueError(f"{what}: field '{key}' must be an integer")
     return v
 
@@ -106,10 +126,9 @@ def parse_gram(obj) -> GramMatrix:
     for entry in overlaps:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ValueError(f"gram.overlaps: expected [i, j, re, im], got {entry!r}")
-        i, j, re, im = entry
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not (_is_int(entry[0]) and _is_int(entry[1])):
             raise ValueError(f"gram.overlaps: indices must be integers, got {entry!r}")
-        pairs.append((i, j, complex(float(re), float(im))))
+        pairs.append((entry[0], entry[1], _as_pair(entry[2:], "gram.overlaps")))
     return gram_from_overlaps(OverlapSpec(dim, pairs))
 
 
@@ -135,7 +154,7 @@ def parse_basis(obj) -> BasisSet:
 def basis_to_dict(b: BasisSet) -> dict:
     return {
         "ambient_dim": b.ambient_dim,
-        "vectors": [vector_to_pairs(b.vectors[:, k]) for k in range(b.num_vectors)],
+        "vectors": _pairs(b.vectors.T),
     }
 
 

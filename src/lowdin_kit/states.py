@@ -7,6 +7,7 @@ frame, where the squared magnitudes form the Lowdin weight distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,33 @@ def _frozen_array(obj, name: str, value: np.ndarray):
     object.__setattr__(obj, name, value)
 
 
+def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
+    """Complex copy a of raw, one finite entry per basis vector, and a+ O a."""
+    a = np.array(raw, dtype=complex).reshape(-1)
+    if a.shape[0] != gram.dim:
+        raise ValueError(f"coefficient length {a.shape[0]} != overlap dimension {gram.dim}")
+    norm2 = float(np.real(a.conj() @ gram.matrix @ a))
+    # A non-finite entry always makes a+ O a non-finite, so the entries
+    # are scanned only then, not on every valid state.
+    if not math.isfinite(norm2) and not np.isfinite(a).all():
+        raise ValueError("state coefficients contain non-finite entries")
+    return a, norm2
+
+
+def _unit_trace_psd(m: np.ndarray, what: str) -> np.ndarray:
+    """Hermitian part of a finite m after checking Tr m = 1 and m >= 0."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    m = _hermitian_part(m, InvalidParameters, what)
+    tr = float(np.real(np.trace(m)))
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise InvalidParameters(f"{what} trace {tr!r} is not 1 within {_TRACE_TOL}")
+    lam_min = float(hermitian_eig(m).eigenvalues[0])
+    if lam_min < -_PSD_TOL:
+        raise InvalidParameters(f"{what} has eigenvalue {lam_min:.3e} below -{_PSD_TOL:.0e}")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized pure state: coefficients a over a basis with overlap O,
@@ -34,12 +62,7 @@ class PureState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.coeffs, dtype=complex, copy=True).reshape(-1)
-        if a.shape[0] != self.gram.dim:
-            raise ValueError(
-                f"coefficient length {a.shape[0]} != overlap dimension {self.gram.dim}"
-            )
-        norm2 = float(np.real(a.conj() @ self.gram.matrix @ a))
+        a, norm2 = _coefficient_vector(self.coeffs, self.gram)
         if abs(norm2 - 1.0) > _TRACE_TOL:
             raise ValueError(f"state norm a+Oa = {norm2!r} is not 1 within {_TRACE_TOL}")
         _frozen_array(self, "coeffs", a)
@@ -62,15 +85,7 @@ class DensityOperator:
         d = self.gram.dim
         if rho.shape != (d, d):
             raise ValueError(f"coefficient matrix shape {rho.shape} != ({d}, {d})")
-        rho = _hermitian_part(rho, InvalidParameters, "coefficient matrix")
-        tr = float(np.real(np.trace(rho)))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise InvalidParameters(f"Tr(rho) = {tr!r} is not 1 within {_TRACE_TOL}")
-        lam_min = float(hermitian_eig(rho).eigenvalues[0])
-        if lam_min < -_PSD_TOL:
-            raise InvalidParameters(
-                f"coefficient matrix has eigenvalue {lam_min:.3e} below -{_PSD_TOL:.0e}"
-            )
+        rho = _unit_trace_psd(rho, "coefficient matrix")
         metric_tr = float(np.real(np.trace(self.gram.matrix @ rho)))
         if metric_tr <= 0.0:
             raise InvalidParameters(f"Tr(O rho) = {metric_tr!r} must be positive")
@@ -88,14 +103,7 @@ class LowdinTransformedState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        m = _hermitian_part(m, InvalidParameters, "transformed state")
-        tr = float(np.real(np.trace(m)))
-        if abs(tr - 1.0) > _TRACE_TOL:
-            raise InvalidParameters(f"transformed state trace {tr!r} is not 1")
-        lam_min = float(hermitian_eig(m).eigenvalues[0])
-        if lam_min < -_PSD_TOL:
-            raise InvalidParameters(f"transformed state eigenvalue {lam_min:.3e} < 0")
+        m = _unit_trace_psd(np.asarray(self.matrix, dtype=complex), "transformed state")
         _frozen_array(self, "matrix", m)
 
 
@@ -123,10 +131,7 @@ class WeightDistribution:
 
 def normalize_pure(gram: GramMatrix, raw) -> PureState:
     """Scale a raw coefficient vector so that a+ O a = 1."""
-    a = np.asarray(raw, dtype=complex).reshape(-1)
-    if a.shape[0] != gram.dim:
-        raise ValueError(f"coefficient length {a.shape[0]} != overlap dimension {gram.dim}")
-    norm2 = float(np.real(a.conj() @ gram.matrix @ a))
+    a, norm2 = _coefficient_vector(raw, gram)
     if norm2 <= 1e-24:
         raise ZeroState("raw coefficient vector has zero norm under the overlap metric")
     return PureState(gram, a / np.sqrt(norm2))

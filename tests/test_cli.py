@@ -352,6 +352,74 @@ class TestSweep:
         assert outs[0] == outs[1]
 
 
+class TestInputNumbers:
+    """Every number in an input file is a JSON number; anything else is an
+    input error (exit 2), never a traceback."""
+
+    PURE = [[1.0, 0.0], [0.6, 0.0]]
+
+    @pytest.mark.parametrize("entry", [
+        [True, 2, 0.4, 0.0],
+        [1, False, 0.4, 0.0],
+        [1, 2.0, 0.4, 0.0],
+        [1, 2, "0.4", 0],
+        [1, 2, [0.4], 0],
+        [1, 2, 0.4, None],
+        [1, 2, True, 0],
+    ])
+    def test_overlap_entry_rejected(self, capsys, tmp_path, entry):
+        state = write_json(
+            tmp_path / "state.json",
+            {"gram": {"dim": 2, "overlaps": [entry]}, "pure": self.PURE},
+        )
+        code, out, err = run_cli(capsys, ["weights", "--state", state])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValueError: gram.overlaps")
+        assert err.count("\n") == 1
+
+    def test_integer_overlap_values_accepted(self, capsys, tmp_path):
+        state = write_json(
+            tmp_path / "state.json",
+            {"gram": {"dim": 2, "overlaps": [[1, 2, 0, 0]]}, "pure": self.PURE},
+        )
+        assert run_cli(capsys, ["weights", "--state", state])[0] == 0
+
+    @pytest.mark.parametrize("change", [
+        {"fixed": {"gamma": [0.6]}},
+        {"fixed": {"gamma": None}},
+        {"fixed": {"gamma": "0.6"}},
+        {"fixed": {"gamma": True}},
+        {"range": ["0.1", 0.4]},
+        {"range": [0.1, [0.4]]},
+        {"range": [False, 0.4]},
+        {"parameter": ["s"]},
+        {"out": 1},
+    ])
+    def test_sweep_field_rejected(self, capsys, tmp_path, change):
+        spec = {"parameter": "s", "range": [0.1, 0.4], "steps": 2, "fixed": {"gamma": 0.6},
+                "out": str(tmp_path / "x.csv")}
+        spec.update(change)
+        code, out, err = run_cli(capsys, ["sweep", "--spec", write_json(tmp_path / "s.json", spec)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ValueError: sweep")
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("field, value, message", [
+        ("pure", [[float("nan"), 0.0], [1.0, 0.0]], "state coefficients contain"),
+        ("pure", [[1.0, float("inf")], [1.0, 0.0]], "state coefficients contain"),
+        ("rho", [[float("nan"), 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]],
+         "coefficient matrix contains"),
+    ])
+    def test_non_finite_coefficients_rejected(self, capsys, tmp_path, field, value, message):
+        state = write_json(
+            tmp_path / "state.json", {"gram": {"dim": 2, "overlaps": []}, field: value}
+        )
+        code, out, err = run_cli(capsys, ["weights", "--state", state])
+        assert (code, out) == (2, "")
+        assert err == f"error: ValueError: {message} non-finite entries\n"
+
+
 class TestPaperCheck:
     def test_all_rows_pass(self, capsys):
         code, out, _ = run_cli(capsys, ["paper-check"])

@@ -25,7 +25,7 @@ from lowdin_kit import (
     weights_density,
     weights_pure,
 )
-from lowdin_kit.states import WeightDistribution, _lowdin_transform
+from lowdin_kit.states import LowdinTransformedState, WeightDistribution, _lowdin_transform
 
 S_PHI = (1.0 + np.sqrt(2.0)) / np.sqrt(6.0)
 GAMMA_PHI = -(2.0 + np.sqrt(2.0)) / np.sqrt(3.0)
@@ -299,6 +299,57 @@ class TestDensityOperatorValidation:
     def test_rejects_indefinite(self):
         with pytest.raises(InvalidParameters):
             DensityOperator(overlap2(0.2), np.array([[1.2, 0.0], [0.0, -0.2]]))
+
+
+# An infinite coefficient also makes numpy warn while a+ O a is formed.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteCoefficients:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_pure_state_rejects(self, bad):
+        with pytest.raises(ValueError, match="state coefficients contain non-finite"):
+            PureState(overlap2(0.2), [bad, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_normalize_pure_rejects(self, bad):
+        with pytest.raises(ValueError, match="state coefficients contain non-finite"):
+            normalize_pure(overlap2(0.2), [bad, 1.0])
+
+    def test_density_operator_rejects(self):
+        rho = np.array([[np.nan, 0.0], [0.0, 0.5]])
+        with pytest.raises(ValueError, match="coefficient matrix contains non-finite"):
+            DensityOperator(overlap2(0.2), rho)
+
+    def test_transformed_state_rejects(self):
+        with pytest.raises(ValueError, match="transformed state contains non-finite"):
+            LowdinTransformedState(np.array([[np.inf, 0.0], [0.0, 0.5]]))
+
+
+class TestUnitTracePsdChecks:
+    """DensityOperator and LowdinTransformedState share one validator; each
+    names its own matrix in the message."""
+
+    @staticmethod
+    def _build(kind, m):
+        if kind == "coefficient matrix":
+            return DensityOperator(overlap2(0.2), m)
+        return LowdinTransformedState(m)
+
+    @pytest.mark.parametrize("kind", ["coefficient matrix", "transformed state"])
+    @pytest.mark.parametrize("m, problem", [
+        ([[0.6, 0.3], [0.1, 0.4]], "asymmetry"),
+        ([[0.6, 0.0], [0.0, 0.6]], "trace 1.2 is not 1 within 1e-09"),
+        ([[1.2, 0.0], [0.0, -0.2]], "has eigenvalue -2.000e-01 below -1e-10"),
+    ])
+    def test_same_checks_and_tolerances(self, kind, m, problem):
+        with pytest.raises(InvalidParameters, match=f"^{kind} .*{problem}"):
+            self._build(kind, np.array(m))
+
+    @pytest.mark.parametrize("kind", ["coefficient matrix", "transformed state"])
+    def test_within_tolerance_accepted_and_hermitized(self, kind):
+        m = np.array([[0.6, 0.2 + 1e-12j], [0.2, 0.4 + 5e-10]])
+        held = self._build(kind, m)
+        out = held.coeffs if kind == "coefficient matrix" else held.matrix
+        assert np.array_equal(out, out.conj().T)
 
 
 class TestWeightDistributionType:
