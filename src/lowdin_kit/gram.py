@@ -23,8 +23,9 @@ from .errors import (
     NotPositiveDefinite,
 )
 
-# How far diagonal entries may deviate from 1 (looser than the unit-norm
-# tolerance on basis columns, whose squares feed the diagonal).
+# How far a basis column's norm and a diagonal entry may deviate from 1
+# (looser for the diagonal, which the squared column norms feed).
+UNIT_NORM_TOL = 1e-10
 DIAG_TOL = 1e-9
 
 _RANDOM_GRAM_TRIES = 1000
@@ -97,6 +98,9 @@ class OverlapSpec:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
+        for pair in self.pairs:
+            if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in pair[:2]):
+                raise ValueError(f"overlap pair {pair!r} needs integer indices")
         pairs = tuple((int(i), int(j), complex(v)) for i, j, v in self.pairs)
         seen = set()
         for i, j, v in pairs:
@@ -122,7 +126,7 @@ def gram_from_vectors(basis) -> GramMatrix:
         raise ValueError(f"expected a 2-d array of column vectors, got shape {cols.shape}")
     norms = np.linalg.norm(cols, axis=0)
     worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-    if worst > 1e-10:
+    if worst > UNIT_NORM_TOL:
         raise NotNormalized(f"a basis column deviates from unit norm by {worst:.3e}")
     overlap = cols.conj().T @ cols
     try:

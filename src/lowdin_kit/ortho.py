@@ -9,7 +9,7 @@ overlap matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -19,11 +19,10 @@ from .errors import (
     DegenerateStep,
     DimensionMismatch,
     InvalidParameters,
-    LowdinKitError,
     UnsupportedDimension,
 )
-from .gram import GramMatrix, gram_from_vectors
-from .states import PureState
+from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
+from .states import PureState, _derived, _frozen_array
 
 _ORTHONORMALITY_TOL = 1e-8
 
@@ -49,9 +48,7 @@ class BasisSet:
             raise ValueError(
                 f"{v.shape[1]} vectors cannot be independent in ambient dimension {v.shape[0]}"
             )
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
+        _frozen_array(self, "vectors", v.copy())
         self.gram  # unit-norm and independence validation
 
     @cached_property
@@ -71,45 +68,33 @@ class BasisSet:
 class OrthoResult:
     """Orthonormal basis E, the transform T with E = C T, the Frobenius
     distance of E from the input, and the orthonormality residual
-    ||E+ E - I||_F."""
+    ||E+ E - I||_F; a plain record, whose E the engines check once."""
 
     basis: BasisSet
     transform: np.ndarray
     method: OrthoMethod
     distortion: float
-    orthonormality_error: float = field(init=False)
-
-    def __post_init__(self):
-        t = np.asarray(self.transform, dtype=complex)
-        t.setflags(write=False)
-        object.__setattr__(self, "transform", t)
-        residual = float(np.linalg.norm(self.basis.gram.matrix - np.eye(self.basis.num_vectors)))
-        object.__setattr__(self, "orthonormality_error", residual)
-        if residual > _ORTHONORMALITY_TOL:
-            raise InvalidParameters(f"result basis not orthonormal, residual {residual:.3e}")
-        if self.distortion < 0:
-            raise ValueError("distortion must be non-negative")
+    orthonormality_error: float
 
 
 def _result(basis: BasisSet, out: np.ndarray, transform, method: OrthoMethod) -> OrthoResult:
-    """Validate an engine's output columns E = C T. A failed check there
-    is the engine's loss of orthonormality, not a fault of the input, so
-    it is reported with the input's conditioning."""
-    try:
-        return OrthoResult(
-            basis=BasisSet(out),
-            transform=transform,
-            method=method,
-            distortion=float(np.linalg.norm(out - basis.vectors)),
-        )
-    except LowdinKitError as exc:
-        loss = float(np.linalg.norm(out.conj().T @ out - np.eye(out.shape[1])))
+    """Check an engine's output columns E = C T once, from one E+ E. A
+    failure is the engine's loss of orthonormality, not a fault of the
+    validated input, so it is reported with the input's conditioning."""
+    g = out.conj().T @ out
+    residual = float(np.linalg.norm(0.5 * (g + g.conj().T) - np.eye(out.shape[1])))
+    deviation = float(np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)))
+    if not (residual <= _ORTHONORMALITY_TOL and deviation <= UNIT_NORM_TOL):  # NaN fails too
         lam = basis.gram.eigen.eigenvalues
         raise InvalidParameters(
-            f"{method.value} result is not orthonormal: ||E+E - I||_F = {loss:.3e} "
-            f"on an input with lambda_min {lam[0]:.3e}, kappa(O) {lam[-1] / lam[0]:.3e} "
-            f"(output check: {exc})"
-        ) from exc
+            f"{method.value} result is not orthonormal: ||E+E - I||_F = {residual:.3e} "
+            f"(limit {_ORTHONORMALITY_TOL:.0e}), column-norm deviation = {deviation:.3e} "
+            f"(limit {UNIT_NORM_TOL:.0e}), "
+            f"on an input with lambda_min {lam[0]:.3e}, kappa(O) {lam[-1] / lam[0]:.3e}"
+        )
+    transform.setflags(write=False)
+    return OrthoResult(basis=_derived(BasisSet, vectors=out), transform=transform, method=method,
+                       distortion=float(np.linalg.norm(out - basis.vectors)), orthonormality_error=residual)
 
 
 def _resolve_order(d: int, order) -> np.ndarray:

@@ -26,16 +26,25 @@ def _frozen_array(obj, name: str, value: np.ndarray):
     object.__setattr__(obj, name, value)
 
 
+def _derived(cls, **fields):
+    """Frozen dataclass cls from fields derived from validated inputs, skipping __post_init__."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
-    """Complex copy a of raw, one finite entry per basis vector, and a+ O a."""
+    """Complex copy a of raw, one finite entry per basis vector, and a finite a+ O a."""
     a = np.array(raw, dtype=complex).reshape(-1)
     if a.shape[0] != gram.dim:
         raise ValueError(f"coefficient length {a.shape[0]} != overlap dimension {gram.dim}")
     norm2 = float(np.real(a.conj() @ gram.matrix @ a))
-    # A non-finite entry always makes a+ O a non-finite, so the entries
-    # are scanned only then, not on every valid state.
-    if not math.isfinite(norm2) and not np.isfinite(a).all():
-        raise ValueError("state coefficients contain non-finite entries")
+    if not math.isfinite(norm2):  # the entries are scanned only then, not on every valid state
+        what = "contain non-finite entries" if not np.isfinite(a).all() else f"overflow a+Oa = {norm2!r}"
+        raise ValueError(f"state coefficients {what}")
     return a, norm2
 
 
@@ -98,7 +107,9 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class LowdinTransformedState:
-    """Trace-1 Hermitian PSD matrix in the orthonormal Lowdin frame."""
+    """Trace-1 Hermitian PSD matrix in the orthonormal Lowdin frame. One that
+    lowdin_density derives is not re-checked: it is PSD up to rho's tolerance
+    carried through the congruence, lambda_min >= -1e-10 lambda_max(O) / Tr(O rho)."""
 
     matrix: np.ndarray
 
@@ -134,7 +145,7 @@ def normalize_pure(gram: GramMatrix, raw) -> PureState:
     a, norm2 = _coefficient_vector(raw, gram)
     if norm2 <= 1e-24:
         raise ZeroState("raw coefficient vector has zero norm under the overlap metric")
-    return PureState(gram, a / np.sqrt(norm2))
+    return _derived(PureState, gram=gram, coeffs=a / np.sqrt(norm2))
 
 
 def lowdin_coeffs(state: PureState) -> np.ndarray:
@@ -162,12 +173,15 @@ def _lowdin_transform(gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
 
 def lowdin_density(op: DensityOperator) -> LowdinTransformedState:
     """rho_L = O^{1/2} rho O^{1/2} / Tr(O^{1/2} rho O^{1/2})."""
-    return LowdinTransformedState(_lowdin_transform(op.gram, op.coeffs))
+    return _derived(LowdinTransformedState, matrix=_lowdin_transform(op.gram, op.coeffs))
 
 
 def weights_density(op: DensityOperator) -> WeightDistribution:
-    """Diagonal of rho_L; coincides with weights_pure on rank-1 projectors."""
-    return WeightDistribution(np.real(np.diag(_lowdin_transform(op.gram, op.coeffs))))
+    """Diagonal of rho_L; coincides with weights_pure on rank-1 projectors.
+    rho's PSD tolerance can leave a weight slightly below 0; it is clipped,
+    and the weight-sum check bounds how much may be clipped."""
+    w = np.real(np.diag(_lowdin_transform(op.gram, op.coeffs)))
+    return WeightDistribution(np.clip(w, 0.0, None))
 
 
 def closed_form_2d_weights(p: float, q: float, s: float) -> WeightDistribution:

@@ -49,3 +49,25 @@ def shared_component_columns(eps: float) -> np.ndarray:
     rng = np.random.default_rng(3)
     cols = rng.standard_normal((60, 1)) + eps * rng.standard_normal((60, 30))
     return cols / np.linalg.norm(cols, axis=0)
+
+
+def edge_psd_densities() -> dict:
+    """Two-level (s, rho) pairs whose rho is indefinite by a few 1e-12, so
+    the -1e-10 PSD floor of DensityOperator accepts it.
+
+    "weight": rho proportional to O^{-1/2} diag(1 + d, -d) O^{-1/2} at
+    s = 0.3 with d = 5e-12, so rho_L = diag(1 + d, -d): a Lowdin weight
+    of -5e-12.
+    "congruence": rho = (1 + e) v1 v1+ - e v2 v2+ at s = 0.95 with
+    e = 5e-12, v1 and v2 the eigenvectors of O for 1 - s and 1 + s; the
+    congruence scales the negative eigenvalue by (1 + s) / (1 - s), to
+    about -1.95e-10."""
+    s, d = 0.3, 5e-12
+    lam, u = np.linalg.eigh(np.array([[1.0, s], [s, 1.0]]))
+    inv_half = (u / np.sqrt(lam)) @ u.T
+    rho = inv_half @ np.diag([1.0 + d, -d]) @ inv_half
+    out = {"weight": (s, rho / np.trace(rho))}
+    s, e = 0.95, 5e-12
+    v1, v2 = np.array([1.0, -1.0]) / np.sqrt(2.0), np.array([1.0, 1.0]) / np.sqrt(2.0)
+    out["congruence"] = (s, (1.0 + e) * np.outer(v1, v1) - e * np.outer(v2, v2))
+    return out

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import shared_component_columns
+from conftest import edge_psd_densities, shared_component_columns
 from lowdin_kit.cli import AnalysisReport, main
 
 SQRT3_2 = 0.8660254037844386
@@ -240,6 +240,23 @@ class TestWeights:
         assert code == 3
         assert "InvalidParameters" in err
 
+    @pytest.mark.parametrize("name", ["weight", "congruence"])
+    def test_accepted_edge_density_reports(self, capsys, tmp_path, name):
+        # rho passes the -1e-10 PSD floor; its weights and rho_L are not
+        # re-checked against it (the weight case exited 2, the congruence 3).
+        s, rho = edge_psd_densities()[name]
+        state = write_json(
+            tmp_path / f"{name}.json",
+            {
+                "gram": {"dim": 2, "overlaps": [[1, 2, s, 0.0]]},
+                "rho": [[float(x), 0.0] for x in rho.reshape(-1)],
+            },
+        )
+        code, out, err = run_cli(capsys, ["weights", "--state", state])
+        assert (code, err) == (0, "")
+        weights = json.loads(out)["weights"]
+        assert min(weights) >= 0.0 and sum(weights) == pytest.approx(1.0, abs=1e-9)
+
     def test_both_pure_and_rho_rejected(self, capsys, tmp_path):
         state = write_json(
             tmp_path / "both.json",
@@ -418,6 +435,26 @@ class TestInputNumbers:
         code, out, err = run_cli(capsys, ["weights", "--state", state])
         assert (code, out) == (2, "")
         assert err == f"error: ValueError: {message} non-finite entries\n"
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_pure_norm_rejected(self, capsys, tmp_path):
+        state = write_json(
+            tmp_path / "state.json",
+            {"gram": {"dim": 2, "overlaps": []}, "pure": [[1e200, 0.0], [0.0, 0.0]]},
+        )
+        code, out, err = run_cli(capsys, ["weights", "--state", state])
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: state coefficients overflow a+Oa = inf\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_sweep_state_rejected(self, capsys, tmp_path):
+        spec = {"parameter": "s", "range": [0.1, 0.4], "steps": 2, "fixed": {"gamma": 1e200},
+                "out": str(tmp_path / "x.csv")}
+        code, out, err = run_cli(capsys, ["sweep", "--spec", write_json(tmp_path / "s.json", spec)])
+        assert (code, out) == (2, "")
+        assert err == "error: ValueError: state coefficients overflow a+Oa = inf\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestPaperCheck:

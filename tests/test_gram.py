@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,17 @@ class TestGramFromOverlaps:
             OverlapSpec(3, [(1, 2, 0.1), (1, 2, 0.2)])
         with pytest.raises(ValueError):
             OverlapSpec(1)
+
+    @pytest.mark.parametrize("pair", [(1.9, 2.7, 0.4), (True, 3, 0.1), (1, np.float64(3.0), 0.1)])
+    def test_spec_rejects_non_integer_indices(self, pair):
+        # int() used to truncate these silently: (1.9, 2.7) became (1, 2).
+        with pytest.raises(ValueError, match=re.escape(f"overlap pair {pair!r} needs integer indices")):
+            OverlapSpec(3, [pair])
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = OverlapSpec(3, [(np.int64(1), 2, 0.1), (np.int32(2), np.uint8(3), 0.2)])
+        assert spec.pairs == ((1, 2, 0.1 + 0j), (2, 3, 0.2 + 0j))
+        assert all(type(k) is int for i, j, _ in spec.pairs for k in (i, j))
 
 
 class TestMatrixInvariants:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from lowdin_kit import (
     lowdin_symmetric,
     maximally_coherent_image,
 )
-from lowdin_kit.ortho import _GS_BLOCK, _gram_schmidt_columns
+from lowdin_kit.ortho import _GS_BLOCK, _gram_schmidt_columns, _result
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
 
@@ -266,17 +268,18 @@ class TestLowdinCanonical:
 class TestOutputCheckFailure:
     """On accepted but nearly dependent inputs the engines can lose
     orthonormality; the error must blame the result, with the input's
-    conditioning, not read as an input fault."""
+    conditioning, not read as an input fault, and name the check that
+    failed."""
 
     @pytest.mark.parametrize(
-        "engine, method, eps, cause",
+        "engine, method, eps, failed",
         [
-            (lowdin_symmetric, "lowdin-sym", 1e-3, NotNormalized),
-            (lowdin_canonical, "lowdin-can", 1e-3, NotNormalized),
-            (gram_schmidt, "gram-schmidt", 1e-4, InvalidParameters),
+            (lowdin_symmetric, "lowdin-sym", 1e-3, "column-norm deviation"),
+            (lowdin_canonical, "lowdin-can", 1e-3, "column-norm deviation"),
+            (gram_schmidt, "gram-schmidt", 1e-4, "||E+E - I||_F"),
         ],
     )
-    def test_names_method_loss_and_conditioning(self, engine, method, eps, cause):
+    def test_names_method_loss_and_conditioning(self, engine, method, eps, failed):
         basis = BasisSet(shared_component_columns(eps))
         lam = basis.gram.eigen.eigenvalues
         with pytest.raises(InvalidParameters) as info:
@@ -284,7 +287,43 @@ class TestOutputCheckFailure:
         msg = str(info.value)
         assert msg.startswith(f"{method} result is not orthonormal: ||E+E - I||_F = ")
         assert f"lambda_min {lam[0]:.3e}, kappa(O) {lam[-1] / lam[0]:.3e}" in msg
-        assert isinstance(info.value.__cause__, cause)
+        limit = {"||E+E - I||_F": 1e-8, "column-norm deviation": 1e-10}[failed]
+        value = re.search(re.escape(failed) + r" = (\S+) \(limit", msg)
+        assert value is not None and float(value.group(1)) > limit
+        # Checked once: no re-validation error is chained on.
+        assert info.value.__cause__ is None and info.value.__context__ is None
+
+
+class TestResultCheck:
+    """_result accepts an engine's E exactly when every column is within
+    1e-10 of unit norm and ||herm(E+ E) - I||_F <= 1e-8, the two rules a
+    BasisSet of orthonormal columns has to pass."""
+
+    @staticmethod
+    def _check(out):
+        out = np.array(out, dtype=complex)
+        return _result(BasisSet(np.eye(3)), out, out.copy(), OrthoMethod.LOWDIN_SYMMETRIC)
+
+    def test_accepts_within_both_limits(self):
+        out = np.eye(3, dtype=complex)
+        out[:, 1] = [3e-9, 1.0, 0.0]
+        out[:, 1] /= np.linalg.norm(out[:, 1])
+        result = self._check(out)
+        assert result.orthonormality_error == pytest.approx(3e-9 * np.sqrt(2.0), rel=1e-6)
+        assert np.array_equal(result.basis.vectors, out)
+        assert not result.basis.vectors.flags.writeable and not result.transform.flags.writeable
+
+    def test_column_norm_fails_under_the_residual_limit(self):
+        out = np.diag([1.0 + 5e-10, 1.0, 1.0])
+        with pytest.raises(InvalidParameters, match=r"\|\|E\+E - I\|\|_F = 1.000e-09 \(limit 1e-08\), "
+                           r"column-norm deviation = 5.000e-10 \(limit 1e-10\)"):
+            self._check(out)
+
+    def test_nan_fails(self):
+        out = np.eye(3)
+        out[2, 2] = np.nan
+        with pytest.raises(InvalidParameters, match=r"nan \(limit 1e-08\), column-norm deviation = nan"):
+            self._check(out)
 
 
 class TestInduceNonorthogonal:

@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corpus_rng, random_gram_from
+from conftest import corpus_rng, edge_psd_densities, random_gram_from
 from lowdin_kit import (
     DegenerateTrace,
     DensityOperator,
@@ -64,6 +66,14 @@ class TestNormalizePure:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             normalize_pure(identity_gram(), [1.0, 0.0, 0.0])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("raw", [[1e200, 0.0], [1.0, 1e200]])
+    def test_overflowing_norm_rejected(self, raw):
+        # Finite entries, but a+ O a overflows: dividing by it would give a
+        # zero vector that claims to be normalized.
+        with pytest.raises(ValueError, match="state coefficients overflow a\\+Oa = inf"):
+            normalize_pure(overlap2(0.3), raw)
 
     def test_purestate_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -182,6 +192,102 @@ class TestWeightsDensity:
     def test_general_pqs_point(self):
         op = DensityOperator(overlap2(0.5), np.array([[0.6, 0.2], [0.2, 0.4]]))
         assert weights_density(op).weights[0] == pytest.approx(0.5722, abs=1e-4)
+
+
+class TestAcceptedEdgeDensities:
+    """Densities that DensityOperator accepts, indefinite by a few 1e-12,
+    must give results: derived quantities are not re-validated against
+    tolerances the input was never held to."""
+
+    @staticmethod
+    def _case(name):
+        s, rho = edge_psd_densities()[name]
+        lam_rho = np.linalg.eigvalsh(rho)[0]
+        assert -1e-10 <= lam_rho < -1e-12  # accepted, yet not PSD
+        return np.array([[1.0, s], [s, 1.0]]), DensityOperator(overlap2(s), rho)
+
+    @staticmethod
+    def _reference(o, rho):
+        lam, u = np.linalg.eigh(o)
+        half = (u * np.sqrt(lam)) @ u.T
+        m = half @ rho @ half
+        return m / np.trace(m)
+
+    @pytest.mark.parametrize("name", ["weight", "congruence"])
+    def test_weights_density(self, name):
+        o, op = self._case(name)
+        w = weights_density(op).weights
+        assert np.all(w >= 0.0)
+        assert abs(w.sum() - 1.0) <= 1e-9
+        assert np.max(np.abs(w - np.diag(self._reference(o, op.coeffs)))) <= 1e-11
+
+    @pytest.mark.parametrize("name", ["weight", "congruence"])
+    def test_lowdin_density(self, name):
+        o, op = self._case(name)
+        m = lowdin_density(op).matrix
+        assert np.array_equal(m, m.conj().T)
+        assert abs(np.trace(m).real - 1.0) <= 1e-9
+        assert np.max(np.abs(m - self._reference(o, op.coeffs))) <= 1e-11
+        # The input's PSD tolerance carried through the congruence.
+        floor = -1e-10 * np.linalg.eigvalsh(o)[-1] / np.trace(o @ op.coeffs).real
+        assert np.linalg.eigvalsh(m)[0] >= floor - 1e-15
+
+    def test_transformed_state_constructor_still_checks(self):
+        # Built from a raw matrix, the same rho_L is held to the -1e-10 floor.
+        _, op = self._case("congruence")
+        with pytest.raises(InvalidParameters, match="eigenvalue -1.950e-10 below -1e-10"):
+            LowdinTransformedState(lowdin_density(op).matrix)
+
+
+class TestDerivedWeightsAreDistributions:
+    """Weights are checked once more where they are made, in O(d): on
+    near-singular overlaps round-off or rho's PSD tolerance can move them
+    off a probability vector, and they must then be refused, not returned."""
+
+    @pytest.mark.parametrize("s", [1 - 1e-8, 1 - 1e-9, 1 - 1e-10])
+    def test_pure_weights_sum_to_one_or_raise(self, s):
+        g = overlap2(s)
+        for eta in (1e-6, 1e-5, 1e-4):
+            try:
+                w = weights_pure(normalize_pure(g, [1.0, -1.0 + eta])).weights
+            except ValueError:
+                continue
+            assert abs(w.sum() - 1.0) <= 1e-9
+
+    def test_large_clipped_weight_rejected(self):
+        # rho = (1 + d) v_min v_min+ - d v_max v_max+ passes the -1e-10 floor,
+        # but with Tr(O rho) ~ 1e-6 the third weight is about -2.3e-5, far
+        # beyond what clipping at 0 may absorb.
+        s, t, d = 1 - 1e-6, 0.3, 9e-11
+        g = gram_from_overlaps(OverlapSpec(3, [(1, 2, s), (1, 3, t), (2, 3, t)]))
+        u = np.linalg.eigh(g.matrix.real)[1]
+        rho = (1 + d) * np.outer(u[:, 0], u[:, 0]) - d * np.outer(u[:, -1], u[:, -1])
+        op = DensityOperator(g, rho)
+        assert np.diag(lowdin_density(op).matrix).real[2] < -1e-5
+        with pytest.raises(ValueError, match="weights sum to 1.0000"):
+            weights_density(op)
+
+
+class TestDerivedResultsAreFrozen:
+    """Results built without re-validation are still immutable records."""
+
+    def test_fields_and_arrays(self):
+        g = overlap2(0.4)
+        op = DensityOperator(g, np.array([[0.6, 0.2], [0.2, 0.4]]))
+        state = normalize_pure(g, [1.0, 0.6])
+        derived = [
+            (state, "coeffs"),
+            (weights_pure(state), "weights"),
+            (weights_density(op), "weights"),
+            (lowdin_density(op), "matrix"),
+        ]
+        for obj, name in derived:
+            arr = getattr(obj, name)
+            assert not arr.flags.writeable
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, arr)
+        assert state.gram is g
+        assert state.coeffs.dtype == complex
 
 
 class TestClosedForm2d:
