@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import GramMatrix, OverlapSpec, gram_from_overlaps, gram_from_vectors
-from .linalg import hermitian_eig
+from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
 from .measures import participation_ratio, shannon_entropy
 from .ortho import BasisSet, induce_nonorthogonal, lowdin_symmetric, maximally_coherent_image
 from .states import (
@@ -87,18 +86,18 @@ def reference_rows() -> list[CheckRow]:
         _row(
             "overlap of the sqrt(2)-representation basis",
             (1.0 + np.sqrt(2.0)) / np.sqrt(6.0),
-            gram_from_vectors(s1).matrix[0, 1].real,
+            s1.gram.matrix[0, 1].real,
             1e-12,
         )
     )
     rows.append(_row("assembled overlap matrix s=0.5: off-diagonal", 0.5, half.matrix[0, 1].real, 1e-15))
 
-    golden_gram = gram_from_overlaps(OverlapSpec(3, [(1, 2, -0.3), (1, 3, 0.3), (2, 3, 0.3)]))
+    golden = golden_state_3d(-0.3)
     rows.append(
         _row(
             "3d golden-state overlaps s=-0.3: smallest eigenvalue 1+2s",
             0.4,
-            hermitian_eig(golden_gram.matrix).eigenvalues[0],
+            golden.gram.eigen.eigenvalues[0],
             1e-12,
         )
     )
@@ -173,9 +172,10 @@ def reference_rows() -> list[CheckRow]:
         )
     )
 
-    rows.append(_row("weights gamma=0.6 s=0.4", [0.66, 0.34], _beta_weights(0.4, 0.6).weights, 1e-2))
-    rows.append(_row("weights gamma=0.6 s=0.1", [0.715, 0.285], _beta_weights(0.1, 0.6).weights, 1e-3))
-    golden = golden_state_3d(-0.3)
+    beta_04 = _beta_weights(0.4, 0.6)
+    beta_01 = _beta_weights(0.1, 0.6)
+    rows.append(_row("weights gamma=0.6 s=0.4", [0.66, 0.34], beta_04.weights, 1e-2))
+    rows.append(_row("weights gamma=0.6 s=0.1", [0.715, 0.285], beta_01.weights, 1e-3))
     rows.append(
         _row("golden-state weights s=-0.3: uniform 1/3", [1 / 3, 1 / 3, 1 / 3], weights_pure(golden).weights, 1e-9)
     )
@@ -230,8 +230,8 @@ def reference_rows() -> list[CheckRow]:
     rows.append(_row("decomposition (diagonal example): artifact off-diagonal", 0.25, artifact[0, 1].real, 1e-9))
     rows.append(_row("decomposition (diagonal example): genuine part", 0.0, np.max(np.abs(genuine)), 1e-9))
 
-    rows.append(_row("entropy of weights gamma=0.6 s=0.4", 0.925, shannon_entropy(_beta_weights(0.4, 0.6)), 2e-3))
-    rows.append(_row("entropy of weights gamma=0.6 s=0.1", 0.862, shannon_entropy(_beta_weights(0.1, 0.6)), 2e-3))
+    rows.append(_row("entropy of weights gamma=0.6 s=0.4", 0.925, shannon_entropy(beta_04), 2e-3))
+    rows.append(_row("entropy of weights gamma=0.6 s=0.1", 0.862, shannon_entropy(beta_01), 2e-3))
     rows.append(
         _row(
             "entropy at s=0, gamma=1: maximal",

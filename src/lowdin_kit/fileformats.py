@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
+from .gram import GramMatrix, OverlapSpec, _is_integer, gram_from_overlaps
 from .ortho import BasisSet
 from .states import DensityOperator, PureState, normalize_pure
 
@@ -54,10 +54,6 @@ def round_tree(obj):
     if isinstance(obj, (list, tuple)):
         return [round_tree(v) for v in obj]
     return obj
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:
@@ -107,7 +103,7 @@ def pairs_to_matrix(items, dim: int, what: str) -> np.ndarray:
 
 def _require_int(obj, key: str, what: str) -> int:
     v = obj.get(key)
-    if not _is_int(v):
+    if not _is_integer(v):
         raise ValueError(f"{what}: field '{key}' must be an integer")
     return v
 
@@ -126,7 +122,7 @@ def parse_gram(obj) -> GramMatrix:
     for entry in overlaps:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ValueError(f"gram.overlaps: expected [i, j, re, im], got {entry!r}")
-        if not (_is_int(entry[0]) and _is_int(entry[1])):
+        if not (_is_integer(entry[0]) and _is_integer(entry[1])):
             raise ValueError(f"gram.overlaps: indices must be integers, got {entry!r}")
         pairs.append((entry[0], entry[1], _as_pair(entry[2:], "gram.overlaps")))
     return gram_from_overlaps(OverlapSpec(dim, pairs))

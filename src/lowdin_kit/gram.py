@@ -84,6 +84,17 @@ class GramMatrix:
         return s
 
 
+def _is_integer(k) -> bool:
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
+
+
+def _check_dim(dim) -> None:
+    if not _is_integer(dim):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    if dim < 2:
+        raise ValueError("dim must be >= 2")
+
+
 @dataclass(frozen=True)
 class OverlapSpec:
     """Compact pairwise description of an overlap matrix.
@@ -96,10 +107,9 @@ class OverlapSpec:
     pairs: tuple = field(default=())
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+        _check_dim(self.dim)
         for pair in self.pairs:
-            if not all(isinstance(k, (int, np.integer)) and not isinstance(k, bool) for k in pair[:2]):
+            if not all(_is_integer(k) for k in pair[:2]):
                 raise ValueError(f"overlap pair {pair!r} needs integer indices")
         pairs = tuple((int(i), int(j), complex(v)) for i, j, v in self.pairs)
         seen = set()
@@ -151,9 +161,8 @@ def random_gram(dim: int, seed: int, overlap_range: tuple[float, float]) -> Gram
     assembled matrix is rejected until positive definite. Deterministic
     for a fixed (dim, seed, overlap_range).
     """
+    _check_dim(dim)
     lo, hi = float(overlap_range[0]), float(overlap_range[1])
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
     if not (-1.0 < lo <= hi < 1.0):
         raise ValueError(f"overlap_range [{lo}, {hi}] must lie within (-1, 1)")
     rng = np.random.default_rng(seed)

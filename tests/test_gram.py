@@ -103,6 +103,17 @@ class TestGramFromOverlaps:
         with pytest.raises(ValueError, match=re.escape(f"overlap pair {pair!r} needs integer indices")):
             OverlapSpec(3, [pair])
 
+    @pytest.mark.parametrize("dim", [3.0, np.float64(3.0), True])
+    def test_spec_rejects_non_integer_dim(self, dim):
+        # A float dim used to pass here and fail later in gram_from_overlaps
+        # with numpy's TypeError.
+        with pytest.raises(ValueError, match=re.escape(f"dim must be an integer, got {dim!r}")):
+            OverlapSpec(dim, [])
+
+    def test_spec_accepts_integer_dim(self):
+        for dim in (3, np.int64(3), np.uint8(3)):
+            assert gram_from_overlaps(OverlapSpec(dim, [(1, 3, 0.2)])).dim == 3
+
     def test_spec_accepts_numpy_integers(self):
         spec = OverlapSpec(3, [(np.int64(1), 2, 0.1), (np.int32(2), np.uint8(3), 0.2)])
         assert spec.pairs == ((1, 2, 0.1 + 0j), (2, 3, 0.2 + 0j))
@@ -192,6 +203,15 @@ class TestRandomGram:
         # constant overlap -0.9 in dimension 8 can never be positive definite
         with pytest.raises(GenerationFailure):
             random_gram(8, seed=5, overlap_range=(-0.9, -0.9))
+
+    @pytest.mark.parametrize("dim", [3.0, np.float64(3.0), True])
+    def test_rejects_non_integer_dim(self, dim):
+        with pytest.raises(ValueError, match=re.escape(f"dim must be an integer, got {dim!r}")):
+            random_gram(dim, 1, (-0.2, 0.2))
+
+    def test_accepts_numpy_integer_dim(self):
+        expected = random_gram(3, 1, (-0.2, 0.2)).matrix
+        assert np.array_equal(random_gram(np.int64(3), 1, (-0.2, 0.2)).matrix, expected)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
