@@ -1,8 +1,9 @@
 """Overlap (Gram) matrices of non-orthogonal basis sets.
 
-A GramMatrix is Hermitian positive definite with unit diagonal; it owns
-its one eigendecomposition, from which the cached +-1/2 powers used
-throughout are derived.
+A GramMatrix is Hermitian positive definite with unit diagonal. It is
+validated by a Cholesky factorization, or by Weyl's bound when it is near
+the identity; its one eigendecomposition is computed only when something
+needs it, and the cached +-1/2 powers used throughout derive from it.
 The inner product convention is conjugate-linear in the first slot:
 ``O_ij = <c_i | c_j> = c_i+ c_j``.
 """
@@ -33,8 +34,10 @@ _RANDOM_GRAM_TRIES = 1000
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Validated overlap matrix. Immutable; it is diagonalized at most once
-    and the powers are computed lazily from that decomposition."""
+    """Validated overlap matrix. Immutable. Positive definiteness is proven
+    by Weyl's bound near the identity, else by one Cholesky factorization,
+    and only where that fails does the spectrum decide. It is diagonalized
+    at most once, on first use of `eigen` or the powers."""
 
     matrix: np.ndarray
 
@@ -50,15 +53,30 @@ class GramMatrix:
         diag_dev = float(np.max(np.abs(np.diag(a) - 1.0)))
         if diag_dev > DIAG_TOL:
             raise NotNormalized(f"diagonal deviates from 1 by {diag_dev:.3e}")
-        off = a - np.eye(a.shape[0])
-        if np.any(np.abs(off) >= 1.0):
-            raise NotPositiveDefinite("an off-diagonal overlap has magnitude >= 1")
+        d = a.shape[0]
+        off = a - np.eye(d)
+        mags = np.abs(off)
+        if np.any(mags >= 1.0):
+            i, j = np.unravel_index(np.argmax(np.triu(mags)), mags.shape)
+            raise NotPositiveDefinite(
+                f"an off-diagonal overlap has magnitude >= 1: |O_ij| = {mags[i, j]:.6g} at ({i + 1}, {j + 1})"
+            )
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         # Weyl: every eigenvalue lies within ||O - I||_2 <= ||O - I||_F of 1,
-        # so below this distance O is proven positive definite and the
-        # eigendecomposition can wait until something needs it.
-        if np.linalg.norm(off) >= 1.0 - linalg.LAMBDA_FLOOR:
+        # so below this distance O is proven positive definite.
+        if np.linalg.norm(off) < 1.0 - linalg.LAMBDA_FLOOR:
+            return
+        # A computed Cholesky factor of O - sigma I (|entries| <= 1) is exact
+        # for a perturbation of 2-norm <= (d+1) d u (Higham, Accuracy and
+        # Stability, 2nd ed., Thm 10.3), and eigh's lambda_min errs by the
+        # same order. With sigma the floor plus four times that, a factor
+        # proves that eigh would put lambda_min above the floor; without one
+        # the spectrum decides.
+        sigma = linalg.LAMBDA_FLOOR + 4.0 * (d + 1) * d * np.finfo(float).eps / 2
+        try:
+            np.linalg.cholesky(a - sigma * np.eye(d))
+        except np.linalg.LinAlgError:
             linalg._check_floor(self.eigen)
 
     @property

@@ -55,10 +55,12 @@ def _hermitian_part(m: np.ndarray, error=NotHermitian, what: str = "matrix") -> 
 
 def _check_floor(eig: HermitianEigenDecomposition) -> float:
     """Smallest eigenvalue; NotPositiveDefinite if at or below LAMBDA_FLOOR."""
-    lam_min = float(eig.eigenvalues[0])
+    lam = eig.eigenvalues
+    lam_min = float(lam[0])
     if lam_min <= LAMBDA_FLOOR:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.3e} is at or below {LAMBDA_FLOOR:.0e}"
+            f"smallest eigenvalue {lam_min:.3e} is at or below {LAMBDA_FLOOR:.0e} "
+            f"(largest eigenvalue {lam[-1]:.3e}, dimension {lam.size})"
         )
     return lam_min
 

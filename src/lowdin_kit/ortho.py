@@ -25,6 +25,8 @@ from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
 from .states import PureState, _derived, _frozen_array
 
 _ORTHONORMALITY_TOL = 1e-8
+# Block size of gram_schmidt's triangular inverse.
+_INVERSE_BLOCK = 32
 
 
 class OrthoMethod(Enum):
@@ -115,6 +117,27 @@ def _resolve_order(d: int, order) -> np.ndarray:
     return idx
 
 
+def _upper_inverse(r: np.ndarray) -> np.ndarray:
+    """R^{-1} of an upper-triangular R with nonzero diagonal, by blocks
+    (Higham, Accuracy and Stability, 2nd ed., ch. 14): one stacked solve
+    inverts the b x b diagonal blocks of R, padded with the identity to a
+    multiple of b, and from the bottom up each block row is filled by GEMMs,
+    X_i,>i = -X_ii R_i,>i X_>i,>i. For d <= b this is solve(R, I)."""
+    d = r.shape[0]
+    b = min(_INVERSE_BLOCK, d)
+    m = -(-d // b) * b
+    padded = np.eye(m, dtype=r.dtype)
+    padded[:d, :d] = r
+    blocks = np.stack([padded[k:k + b, k:k + b] for k in range(0, m, b)])
+    inverses = np.linalg.solve(blocks, np.broadcast_to(np.eye(b), blocks.shape))
+    x = np.zeros_like(padded)
+    for i in reversed(range(m // b)):
+        s, t = slice(i * b, (i + 1) * b), slice((i + 1) * b, m)
+        x[s, s] = inverses[i]
+        x[s, t] = inverses[i] @ -(padded[s, t] @ x[t, t])
+    return x[:d, :d]
+
+
 def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
     """Sequential Gram-Schmidt orthogonalization.
 
@@ -122,7 +145,8 @@ def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
     input column order[k], so the result depends on the ordering. The
     first processed vector is returned unchanged (it is already unit
     norm). R comes from LAPACK's Householder QR of C[:, order], T = R^{-1}
-    and E = C T, orthonormal to order u kappa(C) (u the unit round-off).
+    from a blocked triangular inverse, and E = C T, orthonormal to order
+    u kappa(C) (u the unit round-off).
     """
     idx = _resolve_order(basis.num_vectors, order)
     r = np.linalg.qr(basis.vectors[:, idx], mode="r")
@@ -137,7 +161,7 @@ def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
     # C[:, idx] = E R, so E = C T with the rows of T = R^{-1} put back in
     # input order.
     transform = np.empty_like(r)
-    transform[idx] = np.linalg.solve(r, np.eye(len(idx)))
+    transform[idx] = _upper_inverse(r)
     return _result(basis, transform, OrthoMethod.GRAM_SCHMIDT)
 
 

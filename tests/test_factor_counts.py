@@ -28,28 +28,36 @@ def _inputs(d=6):
 
 
 COLS, OVERLAP, RAW, RHO = _inputs()
+# Three blocks of gram_schmidt's triangular inverse (block size 32).
+COLS65 = _inputs(65)[0]
 
 OPS = {
-    # The eigh is BasisSet's validation; R comes from one LAPACK QR.
-    "gram_schmidt": (lambda: lk.gram_schmidt(lk.BasisSet(COLS)), {"eigh": 1, "qr": 1, "solve": 1}),
-    "lowdin_symmetric": (lambda: lk.lowdin_symmetric(lk.BasisSet(COLS)), {"eigh": 1}),
-    "lowdin_canonical": (lambda: lk.lowdin_canonical(lk.BasisSet(COLS)), {"eigh": 1}),
+    # The Cholesky is BasisSet's validation, and O is never diagonalized;
+    # R comes from one LAPACK QR and its inverse from one stacked solve.
+    "gram_schmidt": (lambda: lk.gram_schmidt(lk.BasisSet(COLS)), {"cholesky": 1, "qr": 1, "solve": 1}),
+    "gram_schmidt_d65": (
+        lambda: lk.gram_schmidt(lk.BasisSet(COLS65)), {"cholesky": 1, "qr": 1, "solve": 1},
+    ),
+    # The eigh of O serves its powers or the canonical transform.
+    "lowdin_symmetric": (lambda: lk.lowdin_symmetric(lk.BasisSet(COLS)), {"cholesky": 1, "eigh": 1}),
+    "lowdin_canonical": (lambda: lk.lowdin_canonical(lk.BasisSet(COLS)), {"cholesky": 1, "eigh": 1}),
     "weights_pure": (
         lambda: lk.weights_pure(lk.normalize_pure(lk.GramMatrix(OVERLAP), RAW)),
-        {"eigh": 1},
+        {"cholesky": 1, "eigh": 1},
     ),
+    # The second eigh is the PSD check of rho.
     "weights_density": (
         lambda: lk.weights_density(lk.DensityOperator(lk.GramMatrix(OVERLAP), RHO)),
-        {"eigh": 2},
+        {"cholesky": 1, "eigh": 2},
     ),
     # A congruence of the validated rho is PSD; rho_L is not diagonalized.
     "lowdin_density": (
         lambda: lk.lowdin_density(lk.DensityOperator(lk.GramMatrix(OVERLAP), RHO)),
-        {"eigh": 2},
+        {"cholesky": 1, "eigh": 2},
     ),
     "offdiagonal_decomposition": (
         lambda: lk.offdiagonal_decomposition(lk.DensityOperator(lk.GramMatrix(OVERLAP), RHO)),
-        {"eigh": 2},
+        {"cholesky": 1, "eigh": 2},
     ),
     # ||O - I||_F = 0.4 sqrt(2) < 1 proves O positive definite (Weyl).
     "gram_near_identity": (
@@ -59,8 +67,10 @@ OPS = {
     # 31 rows over many small Grams; the s=0.5 eigenvalue, sqrt and
     # condition-number rows share one decomposition, the three
     # transformed densities are not diagonalized again, and each Gram
-    # and weight distribution used by two rows is built once.
-    "paper_check_rows": (reference_rows, {"eigh": 13}),
+    # and weight distribution used by two rows is built once. Two Grams
+    # far from the identity are validated by Cholesky and never need
+    # their spectrum.
+    "paper_check_rows": (reference_rows, {"eigh": 11, "cholesky": 2}),
 }
 
 
@@ -79,14 +89,17 @@ def calls(monkeypatch):
 
 
 def test_fresh_inputs_are_far_from_identity():
-    # Otherwise the Gram matrices would skip the eager eigh and the counts
-    # below would not cover construction-time validation.
+    # Otherwise the Gram matrices would skip the Cholesky proof and the
+    # counts below would not cover construction-time validation.
+    for cols in (COLS, COLS65):
+        assert np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1])) >= 1.0
     assert np.linalg.norm(OVERLAP - np.eye(OVERLAP.shape[0])) >= 1.0
 
 
 def test_gram_schmidt_solves_against_its_triangular_factor(monkeypatch):
     # The transform is R^{-1} from the engine's own factors, not a solve
-    # against the overlap matrix.
+    # against the overlap matrix: one solve inverts the stacked diagonal
+    # blocks of R (the last one padded with the identity).
     operands = []
 
     def recording(a, b, _real=np.linalg.solve):
@@ -94,11 +107,12 @@ def test_gram_schmidt_solves_against_its_triangular_factor(monkeypatch):
         return _real(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
-    lk.gram_schmidt(lk.BasisSet(COLS))
-    (a,) = operands
-    d = COLS.shape[1]
-    assert a.shape == (d, d)
-    assert np.array_equal(a, np.triu(a))
+    for cols, blocks in ((COLS, (1, 6, 6)), (COLS65, (3, 32, 32))):
+        operands.clear()
+        lk.gram_schmidt(lk.BasisSet(cols))
+        (a,) = operands
+        assert a.shape == blocks
+        assert np.array_equal(a, np.triu(a))
 
 
 @pytest.mark.parametrize("op", sorted(OPS))

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import corpus_rng, random_basis, random_gram_from
+from conftest import corpus_rng, random_basis, random_gram_from, shared_component_columns
 from lowdin_kit import (
     BasisSet,
     GenerationFailure,
@@ -15,11 +15,13 @@ from lowdin_kit import (
     OverlapSpec,
     gram_from_overlaps,
     gram_from_vectors,
+    gram_schmidt,
     hermitian_eig,
     induce_nonorthogonal,
     matrix_function,
     random_gram,
 )
+from lowdin_kit.linalg import LAMBDA_FLOOR
 
 S_PHI = (1.0 + np.sqrt(2.0)) / np.sqrt(6.0)
 
@@ -133,10 +135,65 @@ class TestMatrixInvariants:
         with pytest.raises(NotPositiveDefinite):
             GramMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
+    def test_unit_magnitude_message_names_the_pair(self):
+        o = np.eye(3, dtype=complex)
+        o[1, 2], o[2, 1] = 1.25j, -1.25j
+        with pytest.raises(NotPositiveDefinite, match=re.escape(
+                "an off-diagonal overlap has magnitude >= 1: |O_ij| = 1.25 at (2, 3)")):
+            GramMatrix(o)
+
+    def test_floor_message_gives_the_conditioning(self):
+        # Eigenvalues 1 - 0.9 sqrt(2), 1 and 1 + 0.9 sqrt(2).
+        spec = OverlapSpec(3, [(1, 2, 0.9), (2, 3, 0.9)])
+        with pytest.raises(NotPositiveDefinite, match=r"^smallest eigenvalue -2\.728e-01 is at or below "
+                           r"1e-12 \(largest eigenvalue 2\.273e\+00, dimension 3\)$"):
+            gram_from_overlaps(spec)
+
+    def test_dependent_columns_message_gives_the_conditioning(self):
+        cols = np.column_stack([np.eye(4)[:, :3], np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)])
+        with pytest.raises(LinearlyDependent, match=r"^smallest eigenvalue .* is at or below 1e-12 "
+                           r"\(largest eigenvalue 2\.000e\+00, dimension 4\)$"):
+            gram_from_vectors(cols)
+
     def test_immutable(self):
         g = overlap2(0.5)
         with pytest.raises(ValueError):
             g.matrix[0, 1] = 0.9
+
+
+def _near_floor_corpus():
+    """Overlaps O of unit columns g + eps G sharing the component g, with eps
+    log-spaced over 3e-7 ... 3e-5: lambda_min(O) from about -3e-13 to 3e-9,
+    straddling LAMBDA_FLOOR at every d."""
+    for d, count in ((2, 40), (3, 40), (8, 40), (30, 40), (64, 40), (256, 12)):
+        rng = np.random.default_rng(d)
+        for eps in np.geomspace(3e-7, 3e-5, count):
+            g = rng.standard_normal((2 * d, 1)) + 1j * rng.standard_normal((2 * d, 1))
+            cols = g + eps * (rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d)))
+            cols /= np.linalg.norm(cols, axis=0)
+            yield cols.conj().T @ cols
+
+
+class TestNearFloorDecision:
+    def test_accepts_exactly_what_eigh_puts_above_the_floor(self):
+        # The Cholesky proof and its eigh fallback must keep the accept set
+        # of deciding by eigh alone, rejection by rejection.
+        accepted = rejected = 0
+        for overlap in _near_floor_corpus():
+            lam_min = float(np.linalg.eigh(0.5 * (overlap + overlap.conj().T))[0][0])
+            if lam_min > LAMBDA_FLOOR:
+                GramMatrix(overlap)
+                accepted += 1
+            else:
+                with pytest.raises(NotPositiveDefinite, match=re.escape(f"smallest eigenvalue {lam_min:.3e} ")):
+                    GramMatrix(overlap)
+                rejected += 1
+        assert accepted >= 100 and rejected >= 60
+
+    def test_gram_schmidt_never_diagonalizes_the_overlap(self):
+        basis = BasisSet(shared_component_columns(1e-4))
+        gram_schmidt(basis)
+        assert "eigen" not in basis.gram.__dict__
 
 
 class TestPowers:

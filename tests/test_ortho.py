@@ -29,7 +29,7 @@ from lowdin_kit import (
     lowdin_symmetric,
     maximally_coherent_image,
 )
-from lowdin_kit.ortho import _result
+from lowdin_kit.ortho import _INVERSE_BLOCK, _result, _upper_inverse
 from lowdin_kit.states import _derived
 
 SQRT3_2 = np.sqrt(3.0) / 2.0
@@ -226,6 +226,31 @@ class TestGramSchmidtColumns:
         col = np.array([0.6, 0.8j, 0.0])
         with pytest.raises(DegenerateStep, match="at step 2$"):
             gram_schmidt(_unchecked(np.column_stack([col, col, col])), [0, 1, 2])
+
+
+B = _INVERSE_BLOCK
+
+
+class TestUpperInverse:
+    """gram_schmidt's blocked R^{-1}: exactly upper-triangular, with a
+    residual ||R X - I||_F within 4 times that of np.linalg.solve(R, I)
+    plus u kappa(R), on R of well-conditioned and of nearly dependent
+    columns. At most one block it is solve(R, I) itself."""
+
+    @pytest.mark.parametrize("d", [2, B - 1, B, B + 1, 2 * B + 1, 256])
+    @pytest.mark.parametrize("eps", [1.0, 1e-4])
+    def test_triangular_and_as_accurate_as_solve(self, d, eps):
+        rng = corpus_rng(70 + d)
+        g = rng.standard_normal((2 * d, 1)) + 1j * rng.standard_normal((2 * d, 1))
+        cols = g + eps * (rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d)))
+        r = np.linalg.qr(cols / np.linalg.norm(cols, axis=0), mode="r")
+        x = _upper_inverse(r)
+        assert np.array_equal(x, np.triu(x))
+        ref = np.linalg.solve(r, np.eye(d))
+        if d <= B:
+            assert np.array_equal(x, ref)
+        bound = 4 * np.linalg.norm(r @ ref - np.eye(d)) + np.finfo(float).eps / 2 * np.linalg.cond(r)
+        assert np.linalg.norm(r @ x - np.eye(d)) <= bound
 
 
 class TestLowdinSymmetric:
