@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
+from .gram import GramMatrix
 from .measures import participation_ratio, shannon_entropy
 from .ortho import BasisSet, induce_nonorthogonal, lowdin_symmetric, maximally_coherent_image
 from .states import (
@@ -54,7 +54,7 @@ def _row(name, expected, computed, tol) -> CheckRow:
 
 
 def _gram2(s: float) -> GramMatrix:
-    return gram_from_overlaps(OverlapSpec(2, [(1, 2, s)]))
+    return GramMatrix(np.array([[1.0, s], [s, 1.0]], dtype=complex))
 
 
 def _beta_weights(s: float, gamma: float):

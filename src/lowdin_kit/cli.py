@@ -184,11 +184,11 @@ _SWEEP_DOMAINS = {
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Parameter sweep over the 2-d worked families.
+    """Parameter sweep over the 2-d worked families, built only by
+    `parse_sweep_spec`.
 
-    The swept parameter plus the fixed ones must form either
-    {gamma, s} (pure superposition family) or {p, q, s} (density
-    family).
+    The swept parameter plus the fixed ones form either {gamma, s}
+    (pure superposition family) or {p, q, s} (density family).
     """
 
     parameter: str
@@ -198,36 +198,6 @@ class SweepSpec:
     fixed: dict
     out: str | None = None
 
-    def __post_init__(self):
-        if self.parameter not in _SWEEP_DOMAINS:
-            raise ValueError(f"sweep: unknown parameter {self.parameter!r}")
-        if not (self.lo < self.hi):
-            raise ValueError(f"sweep: range [{self.lo}, {self.hi}] needs lo < hi")
-        if not isinstance(self.steps, int) or self.steps < 2:
-            raise ValueError("sweep: steps must be an integer >= 2")
-        for bound in (self.lo, self.hi):
-            if not _SWEEP_DOMAINS[self.parameter](bound):
-                raise ValueError(
-                    f"sweep: bound {bound} outside the domain of {self.parameter!r}"
-                )
-        for name, value in self.fixed.items():
-            if name not in _SWEEP_DOMAINS:
-                raise ValueError(f"sweep: unknown fixed parameter {name!r}")
-            if name == self.parameter:
-                raise ValueError(f"sweep: {name!r} is both swept and fixed")
-            if not _SWEEP_DOMAINS[name](float(value)):
-                raise ValueError(f"sweep: fixed {name} = {value} outside its domain")
-        names = {self.parameter, *self.fixed}
-        if names not in ({"gamma", "s"}, {"p", "q", "s"}):
-            raise ValueError(
-                "sweep: parameters must form {gamma, s} or {p, q, s}, got "
-                f"{sorted(names)}"
-            )
-
-    @property
-    def family(self) -> str:
-        return "pure" if "gamma" in {self.parameter, *self.fixed} else "density"
-
 
 def parse_sweep_spec(obj) -> SweepSpec:
     if not isinstance(obj, dict):
@@ -236,9 +206,9 @@ def parse_sweep_spec(obj) -> SweepSpec:
     missing = required - set(obj)
     if missing:
         raise ValueError(f"sweep: missing fields {sorted(missing)}")
-    if not isinstance(obj["parameter"], str):
+    parameter, rng, steps = obj["parameter"], obj["range"], obj["steps"]
+    if not isinstance(parameter, str):
         raise ValueError("sweep: 'parameter' must be a string")
-    rng = obj["range"]
     if not isinstance(rng, list) or len(rng) != 2:
         raise ValueError("sweep: 'range' must be [lo, hi]")
     fixed = obj.get("fixed", {})
@@ -247,23 +217,41 @@ def parse_sweep_spec(obj) -> SweepSpec:
     out = obj.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError("sweep: 'out' must be a path string")
-    return SweepSpec(
-        parameter=obj["parameter"],
-        lo=parse_number(rng[0], "sweep.range"),
-        hi=parse_number(rng[1], "sweep.range"),
-        steps=obj["steps"],
-        fixed={k: parse_number(v, f"sweep.fixed.{k}") for k, v in fixed.items()},
-        out=out,
-    )
+    lo = parse_number(rng[0], "sweep.range")
+    hi = parse_number(rng[1], "sweep.range")
+    fixed = {k: parse_number(v, f"sweep.fixed.{k}") for k, v in fixed.items()}
+    if parameter not in _SWEEP_DOMAINS:
+        raise ValueError(f"sweep: unknown parameter {parameter!r}")
+    if not (lo < hi):
+        raise ValueError(f"sweep: range [{lo}, {hi}] needs lo < hi")
+    if not isinstance(steps, int) or steps < 2:
+        raise ValueError("sweep: steps must be an integer >= 2")
+    for bound in (lo, hi):
+        if not _SWEEP_DOMAINS[parameter](bound):
+            raise ValueError(f"sweep: bound {bound} outside the domain of {parameter!r}")
+    for name, value in fixed.items():
+        if name not in _SWEEP_DOMAINS:
+            raise ValueError(f"sweep: unknown fixed parameter {name!r}")
+        if name == parameter:
+            raise ValueError(f"sweep: {name!r} is both swept and fixed")
+        if not _SWEEP_DOMAINS[name](value):
+            raise ValueError(f"sweep: fixed {name} = {value} outside its domain")
+    names = {parameter, *fixed}
+    if names not in ({"gamma", "s"}, {"p", "q", "s"}):
+        raise ValueError(
+            "sweep: parameters must form {gamma, s} or {p, q, s}, got "
+            f"{sorted(names)}"
+        )
+    return SweepSpec(parameter, lo, hi, steps, fixed, out)
 
 
 def run_sweep(spec: SweepSpec) -> str:
     """Render the sweep as CSV text: param,w_1,w_2,entropy,pr,ipr."""
     lines = ["param,w_1,w_2,entropy,pr,ipr"]
+    params = dict(spec.fixed)
     for value in np.linspace(spec.lo, spec.hi, spec.steps):
-        params = dict(spec.fixed)
         params[spec.parameter] = float(value)
-        if spec.family == "pure":
+        if "gamma" in params:
             state = normalize_pure(_gram2(params["s"]), [1.0, params["gamma"]])
             w = weights_pure(state)
         else:
@@ -335,14 +323,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except LowdinKitError as exc:
+    # RecursionError: an input nested past the interpreter's recursion limit.
+    except (LowdinKitError, ValueError, KeyError, OSError, RecursionError) as exc:
         msg = str(exc).replace("\n", " ")
         sys.stderr.write(f"error: {type(exc).__name__}: {msg}\n")
-        return 3
-    except (ValueError, KeyError, OSError) as exc:
-        msg = str(exc).replace("\n", " ")
-        sys.stderr.write(f"error: {type(exc).__name__}: {msg}\n")
-        return 2
+        return 3 if isinstance(exc, LowdinKitError) else 2
 
 
 def entrypoint():

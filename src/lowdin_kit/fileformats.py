@@ -20,6 +20,8 @@ Parse problems raise ValueError; the CLI maps those to exit code 2.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .gram import GramMatrix, OverlapSpec, _is_integer, gram_from_overlaps
@@ -108,13 +110,13 @@ def _require_int(obj, key: str, what: str) -> int:
     return v
 
 
-def parse_gram(obj) -> GramMatrix:
-    """Parse a gram.json object (overlap list or dense matrix form)."""
+def _checked_gram(obj) -> tuple[int, partial]:
+    """dim of a checked gram.json object, and the call that builds its Gram."""
     if not isinstance(obj, dict):
         raise ValueError("gram: expected a JSON object")
     dim = _require_int(obj, "dim", "gram")
     if "matrix" in obj:
-        return GramMatrix(pairs_to_matrix(obj["matrix"], dim, "gram.matrix"))
+        return dim, partial(GramMatrix, pairs_to_matrix(obj["matrix"], dim, "gram.matrix"))
     overlaps = obj.get("overlaps", [])
     if not isinstance(overlaps, list):
         raise ValueError("gram: field 'overlaps' must be a list")
@@ -125,7 +127,12 @@ def parse_gram(obj) -> GramMatrix:
         if not (_is_integer(entry[0]) and _is_integer(entry[1])):
             raise ValueError(f"gram.overlaps: indices must be integers, got {entry!r}")
         pairs.append((entry[0], entry[1], _as_pair(entry[2:], "gram.overlaps")))
-    return gram_from_overlaps(OverlapSpec(dim, pairs))
+    return dim, partial(gram_from_overlaps, OverlapSpec(dim, pairs))
+
+
+def parse_gram(obj) -> GramMatrix:
+    """Parse a gram.json object (overlap list or dense matrix form)."""
+    return _checked_gram(obj)[1]()
 
 
 def parse_basis(obj) -> BasisSet:
@@ -165,10 +172,15 @@ def parse_state(obj) -> PureState | DensityOperator:
         raise ValueError("state: expected a JSON object")
     if "gram" not in obj:
         raise ValueError("state: missing field 'gram'")
-    g = parse_gram(obj["gram"])
+    dim, build_gram = _checked_gram(obj["gram"])
     has_pure, has_rho = "pure" in obj, "rho" in obj
     if has_pure == has_rho:
         raise ValueError("state: provide exactly one of 'pure' or 'rho'")
+    # Count the entries against dim before the dim x dim Gram is allocated.
     if has_pure:
-        return normalize_pure(g, pairs_to_vector(obj["pure"], "state.pure"))
-    return DensityOperator(g, pairs_to_matrix(obj["rho"], g.dim, "state.rho"))
+        raw = pairs_to_vector(obj["pure"], "state.pure")
+        if raw.shape[0] != dim:
+            raise ValueError(f"coefficient length {raw.shape[0]} != overlap dimension {dim}")
+        return normalize_pure(build_gram(), raw)
+    rho = pairs_to_matrix(obj["rho"], dim, "state.rho")
+    return DensityOperator(build_gram(), rho)

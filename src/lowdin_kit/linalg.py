@@ -1,8 +1,8 @@
 """Dense complex Hermitian linear algebra.
 
-Thin, validated layer over LAPACK (via numpy) providing the
-eigendecomposition and the +-1/2 matrix powers that every overlap-matrix
-computation downstream relies on. All functions are pure.
+Thin layer over LAPACK (via numpy): eigendecomposition, the +-1/2 matrix
+powers and the eigenvalue-floor check that words rejections. GramMatrix,
+not this module, validates overlap matrices. All functions are pure.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import edge_psd_densities, shared_component_columns
-from lowdin_kit.cli import AnalysisReport, main
+from lowdin_kit import (DensityOperator, OverlapSpec, gram_from_overlaps, measure_report,
+                        normalize_pure, weights_density, weights_pure)
+from lowdin_kit.cli import AnalysisReport, main, parse_sweep_spec, run_sweep
 
 SQRT3_2 = 0.8660254037844386
 
@@ -275,7 +277,35 @@ class TestWeights:
         assert report.to_json() == out
 
 
+def _sweep_reference(spec: dict) -> str:
+    """The sweep as a fresh parameter dict and an OverlapSpec-assembled
+    Gram matrix per step."""
+    lines = ["param,w_1,w_2,entropy,pr,ipr"]
+    for value in np.linspace(*spec["range"], spec["steps"]):
+        params = {**spec["fixed"], spec["parameter"]: float(value)}
+        gram = gram_from_overlaps(OverlapSpec(2, [(1, 2, params["s"])]))
+        if "gamma" in params:
+            w = weights_pure(normalize_pure(gram, [1.0, params["gamma"]]))
+        else:
+            p, q = params["p"], params["q"]
+            w = weights_density(DensityOperator(gram, np.array([[p, q], [q, 1.0 - p]])))
+        m = measure_report(w)
+        cells = (value, *w.weights, m.entropy, m.participation_ratio, m.inverse_participation_ratio)
+        lines.append(",".join(format(float(x), ".12g") for x in cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestSweep:
+    @pytest.mark.parametrize("spec", [
+        {"parameter": "s", "range": [-0.95, 0.95], "steps": 301, "fixed": {"gamma": -1.7}},
+        {"parameter": "s", "range": [-0.95, 0.95], "steps": 301, "fixed": {"p": 0.6, "q": 0.2}},
+        {"parameter": "gamma", "range": [-3.0, 3.0], "steps": 121, "fixed": {"s": -0.6}},
+        {"parameter": "q", "range": [-0.45, 0.45], "steps": 91, "fixed": {"p": 0.5, "s": 0.9}},
+        {"parameter": "p", "range": [0.1, 0.9], "steps": 81, "fixed": {"q": -0.2, "s": 0.3}},
+    ])
+    def test_matches_per_step_reference(self, spec):
+        assert run_sweep(parse_sweep_spec(spec)) == _sweep_reference(spec)
+
     def test_beta_family_two_points(self, capsys, tmp_path):
         spec = write_json(
             tmp_path / "sweep.json",
@@ -455,6 +485,136 @@ class TestInputNumbers:
         assert (code, out) == (2, "")
         assert err == "error: ValueError: state coefficients overflow a+Oa = inf\n"
         assert not (tmp_path / "x.csv").exists()
+
+
+def sweep_spec(**change):
+    return {"parameter": "s", "range": [0.1, 0.4], "steps": 2, "fixed": {"gamma": 0.6}, **change}
+
+
+class TestInputErrors:
+    """Each malformed input, and each sweep that steps outside the library's
+    domain, exits with its code and one fixed stderr line."""
+
+    PURE = [[1.0, 0.0], [0.6, 0.0]]
+    PLANE = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+    def _sweep(self, capsys, tmp_path, spec):
+        out_csv = tmp_path / "x.csv"
+        spec_path = write_json(tmp_path / "spec.json", spec)
+        result = run_cli(capsys, ["sweep", "--spec", spec_path, "--out", str(out_csv)])
+        assert not out_csv.exists()
+        return result
+
+    @pytest.mark.parametrize("spec, message", [
+        ([0.1, 0.4], "sweep: expected a JSON object"),
+        ({"parameter": "s"}, "sweep: missing fields ['range', 'steps']"),
+        (sweep_spec(range=[0.1, 0.2, 0.3]), "sweep: 'range' must be [lo, hi]"),
+        (sweep_spec(fixed=[["gamma", 0.6]]), "sweep: 'fixed' must be an object"),
+        (sweep_spec(parameter="theta"), "sweep: unknown parameter 'theta'"),
+        (sweep_spec(range=[0.4, 0.1]), "sweep: range [0.4, 0.1] needs lo < hi"),
+        (sweep_spec(steps=2.0), "sweep: steps must be an integer >= 2"),
+        (sweep_spec(steps=1), "sweep: steps must be an integer >= 2"),
+        (sweep_spec(range=[0.1, 1.0]), "sweep: bound 1.0 outside the domain of 's'"),
+        (sweep_spec(fixed={"gamma": 0.6, "theta": 1.0}), "sweep: unknown fixed parameter 'theta'"),
+        (sweep_spec(fixed={"gamma": 0.6, "s": 0.2}), "sweep: 's' is both swept and fixed"),
+        (sweep_spec(parameter="gamma", range=[0.0, 1.0], fixed={"s": 1.0}),
+         "sweep: fixed s = 1.0 outside its domain"),
+        (sweep_spec(parameter="q", range=[0.0, 0.1], fixed={"p": 1.5, "s": 0.0}),
+         "sweep: fixed p = 1.5 outside its domain"),
+        (sweep_spec(fixed={"p": 0.5}),
+         "sweep: parameters must form {gamma, s} or {p, q, s}, got ['p', 's']"),
+        # Two faults: the check that runs first names its own.
+        (sweep_spec(parameter="theta", fixed={"gamma": "x"}),
+         "sweep.fixed.gamma: expected a number, got 'x'"),
+        (sweep_spec(parameter="theta", range=[0.4, 0.1]), "sweep: unknown parameter 'theta'"),
+        (sweep_spec(range=[0.4, 0.1], steps=1), "sweep: range [0.4, 0.1] needs lo < hi"),
+        (sweep_spec(range=[0.1, 1.0], steps=1), "sweep: steps must be an integer >= 2"),
+        (sweep_spec(range=[0.1, 1.0], fixed={"theta": 1.0}),
+         "sweep: bound 1.0 outside the domain of 's'"),
+    ])
+    def test_sweep_spec_rejected(self, capsys, tmp_path, spec, message):
+        assert self._sweep(capsys, tmp_path, spec) == (2, "", f"error: ValueError: {message}\n")
+
+    @pytest.mark.parametrize("spec, error", [
+        (sweep_spec(parameter="gamma", range=[0.5, 1.5], steps=3, fixed={"s": 0.9999999999999}),
+         "NotPositiveDefinite: smallest eigenvalue 1.000e-13 is at or below 1e-12 "
+         "(largest eigenvalue 2.000e+00, dimension 2)"),
+        (sweep_spec(parameter="p", range=[0.5, 1.0], steps=6, fixed={"q": 0.3, "s": 0.2}),
+         "InvalidParameters: coefficient matrix has eigenvalue -8.310e-02 below -1e-10"),
+    ])
+    def test_sweep_step_outside_domain(self, capsys, tmp_path, spec, error):
+        assert self._sweep(capsys, tmp_path, spec) == (3, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("state, message", [
+        ([1], "state: expected a JSON object"),
+        ({"pure": PURE}, "state: missing field 'gram'"),
+        ({"gram": [2], "pure": PURE}, "gram: expected a JSON object"),
+        ({"gram": {"dim": 2.0, "overlaps": []}, "pure": PURE},
+         "gram: field 'dim' must be an integer"),
+        ({"gram": {"dim": 2, "overlaps": {"1": 0.4}}, "pure": PURE},
+         "gram: field 'overlaps' must be a list"),
+        ({"gram": {"dim": 2, "overlaps": [[1, 2, 0.4]]}, "pure": PURE},
+         "gram.overlaps: expected [i, j, re, im], got [1, 2, 0.4]"),
+        ({"gram": {"dim": 2, "matrix": [[1.0, 0.0], [0.4, 0.0], [1.0, 0.0]]}, "pure": PURE},
+         "gram.matrix: expected 4 entries, got 3"),
+        ({"gram": {"dim": 2, "overlaps": []}, "pure": []},
+         "state.pure: expected a non-empty list of [re, im] pairs"),
+    ])
+    def test_state_rejected(self, capsys, tmp_path, state, message):
+        path = write_json(tmp_path / "state.json", state)
+        assert run_cli(capsys, ["weights", "--state", path]) == (
+            2, "", f"error: ValueError: {message}\n")
+
+    @pytest.mark.parametrize("basis, message", [
+        ([1], "basis: expected a JSON object"),
+        ({"ambient_dim": 2, "vectors": [[[1.0, 0.0]], PLANE[1]]},
+         "basis.vectors[0]: length 1 != ambient_dim 2"),
+    ])
+    def test_basis_rejected(self, capsys, tmp_path, basis, message):
+        path = write_json(tmp_path / "basis.json", basis)
+        assert run_cli(capsys, ["orthogonalize", "--basis", path, "--method", "lowdin-sym"]) == (
+            2, "", f"error: ValueError: {message}\n")
+
+    @pytest.mark.parametrize("field, entries, message", [
+        ("pure", [[1, 0], [0, 0]], "coefficient length 2 != overlap dimension 1000000"),
+        ("rho", [[1, 0], [0, 0], [0, 0], [0, 0]], "state.rho: expected 1000000000000 entries, got 4"),
+    ])
+    def test_entries_counted_before_gram_is_built(self, capsys, tmp_path, field, entries, message):
+        # A 10^6 x 10^6 complex Gram needs 14.6 TiB: the allocation fails at
+        # once if the count check does not come first.
+        path = write_json(tmp_path / "state.json",
+                          {"gram": {"dim": 1000000, "overlaps": []}, field: entries})
+        assert run_cli(capsys, ["weights", "--state", path]) == (
+            2, "", f"error: ValueError: {message}\n")
+
+    def test_deep_nesting_in_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, ["weights", "--state", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: RecursionError: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    def test_deep_nesting_in_echoed_input(self, capsys, tmp_path):
+        note = 0
+        for _ in range(500):
+            note = [note]
+        path = write_json(tmp_path / "basis.json",
+                          {"ambient_dim": 2, "vectors": self.PLANE, "note": note})
+        code, out, err = run_cli(capsys, ["orthogonalize", "--basis", path, "--method", "lowdin-sym"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: RecursionError: maximum recursion depth exceeded")
+        assert err.count("\n") == 1
+
+    def test_non_integer_order_rejected(self, capsys, plane_basis_file):
+        argv = ["orthogonalize", "--basis", plane_basis_file, "--method", "gram-schmidt",
+                "--order", "1,x"]
+        assert run_cli(capsys, argv) == (
+            2, "", "error: ValueError: --order must be comma-separated integers, got '1,x'\n")
+
+    def test_report_unknown_field_rejected(self):
+        with pytest.raises(ValueError, match=r"^report: unknown fields \['extra'\]$"):
+            AnalysisReport.from_dict({"command": "weights", "input": {}, "extra": 1})
 
 
 class TestPaperCheck:
