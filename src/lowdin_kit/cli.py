@@ -32,9 +32,17 @@ from .fileformats import (
     round_tree,
     vector_to_pairs,
 )
-from .measures import measure_report
+from .gram import DIAG_TOL
+from .linalg import LAMBDA_FLOOR
+from .measures import _ZERO_CLAMP, measure_report
 from .ortho import OrthoMethod, gram_schmidt, lowdin_canonical, lowdin_symmetric
 from .states import (
+    _MIN_NORM2,
+    _MIN_TRACE,
+    _NEGATIVE_WEIGHT_TOL,
+    _PSD_TOL,
+    _TRACE_TOL,
+    _WEIGHT_SUM_TOL,
     DensityOperator,
     PureState,
     lowdin_coeffs,
@@ -245,30 +253,94 @@ def parse_sweep_spec(obj) -> SweepSpec:
     return SweepSpec(parameter, lo, hi, steps, fixed, out)
 
 
-def run_sweep(spec: SweepSpec) -> str:
-    """Render the sweep as CSV text: param,w_1,w_2,entropy,pr,ipr."""
-    lines = ["param,w_1,w_2,entropy,pr,ipr"]
-    params = dict(spec.fixed)
-    for value in np.linspace(spec.lo, spec.hi, spec.steps):
-        params[spec.parameter] = float(value)
-        if "gamma" in params:
-            state = normalize_pure(_gram2(params["s"]), [1.0, params["gamma"]])
-            w = weights_pure(state)
+# Steps per stacked pass, so that its arrays take a few MiB however long the sweep.
+_SWEEP_BLOCK = 4096
+
+
+def _sweep_step(params: dict) -> tuple:
+    """w_1, w_2, entropy, pr, ipr of one step through the library, or its typed error."""
+    if "gamma" in params:
+        w = weights_pure(normalize_pure(_gram2(params["s"]), [1.0, params["gamma"]]))
+    else:
+        rho = np.array([[params["p"], params["q"]], [params["q"], 1.0 - params["p"]]])
+        w = weights_density(DensityOperator(_gram2(params["s"]), rho))
+    m = measure_report(w)
+    return (*w.weights, m.entropy, m.participation_ratio, m.inverse_participation_ratio)
+
+
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix in a stack."""
+    return m.conj().transpose(0, 2, 1)
+
+
+def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian parts of a stack, and the matrices that are finite and equal
+    their Hermitian part, so that they pass the library's asymmetry check."""
+    h = 0.5 * (m + _ct(m))
+    return h, np.isfinite(h).all(axis=(1, 2)) & (h == m).all(axis=(1, 2))
+
+
+def _sweep_table(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows w_1, w_2, entropy, pr, ipr of n steps in one stacked pass, and the
+    steps proven to pass every check of `_sweep_step`. Each parameter is a
+    scalar or an n-vector. Every step does the library's arithmetic in the
+    library's order, so a proven step's row equals `_sweep_step`'s to the bit;
+    the others may hold anything."""
+    col = {name: np.broadcast_to(value, (n,)) for name, value in params.items()}
+    with np.errstate(all="ignore"):
+        o = np.zeros((n, 2, 2), dtype=complex)
+        o[:, 0, 0] = o[:, 1, 1] = 1.0
+        o[:, 0, 1] = o[:, 1, 0] = col["s"]
+        o, ok = _hermitian_stack(o)
+        dev = np.abs(o - np.eye(2))
+        ok &= dev.max(axis=(1, 2)) < 1.0
+        ok &= np.diagonal(dev, axis1=1, axis2=2).max(axis=1) <= DIAG_TOL
+        lam, u = np.linalg.eigh(o)
+        ok &= lam[:, 0] > LAMBDA_FLOOR
+        powered = (u * lam[:, None, :] ** 0.5) @ _ct(u)
+        half = 0.5 * (powered + _ct(powered))
+        if "gamma" in col:
+            a = np.ones((n, 2), dtype=complex)
+            a[:, 1] = col["gamma"]
+            norm2 = np.real(a.conj()[:, None, :] @ o @ a[:, :, None])[:, 0, 0]
+            ok &= np.isfinite(norm2) & (norm2 > _MIN_NORM2)
+            w = np.abs(half @ (a / np.sqrt(norm2)[:, None])[:, :, None])[:, :, 0] ** 2
         else:
-            rho = np.array(
-                [[params["p"], params["q"]], [params["q"], 1.0 - params["p"]]]
-            )
-            w = weights_density(DensityOperator(_gram2(params["s"]), rho))
-        m = measure_report(w)
-        cells = [
-            fmt12(value),
-            fmt12(w.weights[0]),
-            fmt12(w.weights[1]),
-            fmt12(m.entropy),
-            fmt12(m.participation_ratio),
-            fmt12(m.inverse_participation_ratio),
-        ]
-        lines.append(",".join(cells))
+            rho = np.zeros((n, 2, 2), dtype=complex)
+            rho[:, 0, 0], rho[:, 1, 1] = col["p"], 1.0 - col["p"]
+            rho[:, 0, 1] = rho[:, 1, 0] = col["q"]
+            rho, herm = _hermitian_stack(rho)
+            lam_rho = np.linalg.eigh(np.where(herm[:, None, None], rho, np.eye(2)))[0]
+            ok &= herm & (np.abs(np.real(np.trace(rho, axis1=1, axis2=2)) - 1.0) <= _TRACE_TOL)
+            ok &= (lam_rho[:, 0] >= -_PSD_TOL) & (np.real(np.trace(o @ rho, axis1=1, axis2=2)) > 0.0)
+            m = half @ rho @ half
+            tr = np.real(np.trace(m, axis1=1, axis2=2))
+            ok &= tr > _MIN_TRACE
+            m = m / tr[:, None, None]
+            w = np.clip(np.real(np.diagonal(0.5 * (m + _ct(m)), axis1=1, axis2=2)), 0.0, None)
+        ok &= np.isfinite(w).all(axis=1) & (w >= -_NEGATIVE_WEIGHT_TOL).all(axis=1)
+        w = np.clip(w, 0.0, None)
+        ok &= np.abs(w.sum(axis=1) - 1.0) <= _WEIGHT_SUM_TOL
+        ipr = (w**2).sum(axis=1)
+        entropy = -np.where(w > _ZERO_CLAMP, w * np.log2(w), 0.0).sum(axis=1)
+        table = np.column_stack([w, entropy, 1.0 / ipr, ipr])
+    return table, ok
+
+
+def run_sweep(spec: SweepSpec) -> str:
+    """Render the sweep as CSV text: param,w_1,w_2,entropy,pr,ipr.
+
+    Each block of steps is computed in one stacked pass; a step the pass cannot
+    prove valid is replayed, in step order, through the library, which then
+    raises that step's typed error or yields its row."""
+    values = np.linspace(spec.lo, spec.hi, spec.steps)
+    lines = ["param,w_1,w_2,entropy,pr,ipr"]
+    for start in range(0, spec.steps, _SWEEP_BLOCK):
+        block = values[start : start + _SWEEP_BLOCK]
+        table, proven = _sweep_table({**spec.fixed, spec.parameter: block}, block.size)
+        for value, row, ok in zip(block.tolist(), table.tolist(), proven.tolist()):
+            cells = row if ok else _sweep_step({**spec.fixed, spec.parameter: value})
+            lines.append(",".join(map(fmt12, (value, *cells))))
     return "\n".join(lines) + "\n"
 
 
@@ -324,7 +396,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # RecursionError: an input nested past the interpreter's recursion limit.
-    except (LowdinKitError, ValueError, KeyError, OSError, RecursionError) as exc:
+    # MemoryError: an input that asks for more memory than there is, e.g. a sweep's steps.
+    except (LowdinKitError, ValueError, KeyError, OSError, RecursionError, MemoryError) as exc:
         msg = str(exc).replace("\n", " ")
         sys.stderr.write(f"error: {type(exc).__name__}: {msg}\n")
         return 3 if isinstance(exc, LowdinKitError) else 2

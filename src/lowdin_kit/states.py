@@ -16,9 +16,9 @@ from .errors import DegenerateTrace, InvalidParameters, ZeroState
 from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
 from .linalg import _hermitian_part, hermitian_eig
 
-_PSD_TOL = 1e-10
-_TRACE_TOL = 1e-9
-_WEIGHT_SUM_TOL = 1e-9
+_PSD_TOL, _TRACE_TOL, _WEIGHT_SUM_TOL, _NEGATIVE_WEIGHT_TOL = 1e-10, 1e-9, 1e-9, 1e-12
+# At or below these a+ O a or Tr(O^{1/2} rho O^{1/2}) is too small to normalize by.
+_MIN_NORM2, _MIN_TRACE = 1e-24, 1e-12
 
 
 def _frozen_array(obj, name: str, value: np.ndarray):
@@ -128,7 +128,7 @@ class WeightDistribution:
         w = np.asarray(self.weights, dtype=float).reshape(-1)
         if w.size == 0 or not np.all(np.isfinite(w)):
             raise ValueError("weights must be a non-empty finite vector")
-        if np.any(w < -1e-12):
+        if np.any(w < -_NEGATIVE_WEIGHT_TOL):
             raise ValueError(f"negative weight {float(w.min()):.3e}")
         w = np.clip(w, 0.0, None)
         total = float(w.sum())
@@ -143,7 +143,7 @@ class WeightDistribution:
 def normalize_pure(gram: GramMatrix, raw) -> PureState:
     """Scale a raw coefficient vector so that a+ O a = 1."""
     a, norm2 = _coefficient_vector(raw, gram)
-    if norm2 <= 1e-24:
+    if norm2 <= _MIN_NORM2:
         raise ZeroState("raw coefficient vector has zero norm under the overlap metric")
     return _derived(PureState, gram=gram, coeffs=a / np.sqrt(norm2))
 
@@ -165,7 +165,7 @@ def _lowdin_transform(gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
     half = gram.sqrt
     m = half @ rho @ half
     tr = float(np.real(np.trace(m)))
-    if tr <= 1e-12:
+    if tr <= _MIN_TRACE:
         raise DegenerateTrace(f"Tr(O rho) = {tr!r} is too small to normalize")
     m = m / tr
     return 0.5 * (m + m.conj().T)

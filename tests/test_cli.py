@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import edge_psd_densities, shared_component_columns
-from lowdin_kit import (DensityOperator, OverlapSpec, gram_from_overlaps, measure_report,
-                        normalize_pure, weights_density, weights_pure)
+from lowdin_kit import (DensityOperator, LowdinKitError, OverlapSpec, gram_from_overlaps,
+                        measure_report, normalize_pure, weights_density, weights_pure)
+from lowdin_kit import cli
 from lowdin_kit.cli import AnalysisReport, main, parse_sweep_spec, run_sweep
 
 SQRT3_2 = 0.8660254037844386
@@ -295,6 +298,26 @@ def _sweep_reference(spec: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+FAILING_SWEEPS = [
+    # q^2 = p(1 - p) is crossed mid-range: steps 1-6 pass, step 7 does not.
+    {"parameter": "q", "range": [0.0, 0.9], "steps": 10, "fixed": {"p": 0.5, "s": 0.3}},
+    # rho leaves the PSD cone at step 86 of 90.
+    {"parameter": "p", "range": [0.1, 0.99], "steps": 90, "fixed": {"q": 0.2, "s": -0.4}},
+    {"parameter": "p", "range": [0.5, 1.0], "steps": 6, "fixed": {"q": 0.3, "s": 0.2}},
+    {"parameter": "gamma", "range": [0.5, 1.5], "steps": 3, "fixed": {"s": 0.9999999999999}},
+    {"parameter": "s", "range": [0.1, 0.4], "steps": 2, "fixed": {"gamma": 1e200}},
+]
+
+
+def _outcome(sweep, spec):
+    """Type and message of the error the sweep raises, and its numpy warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises((LowdinKitError, ValueError)) as info:
+            sweep(spec)
+    return type(info.value), str(info.value), [str(w.message) for w in caught]
+
+
 class TestSweep:
     @pytest.mark.parametrize("spec", [
         {"parameter": "s", "range": [-0.95, 0.95], "steps": 301, "fixed": {"gamma": -1.7}},
@@ -302,9 +325,71 @@ class TestSweep:
         {"parameter": "gamma", "range": [-3.0, 3.0], "steps": 121, "fixed": {"s": -0.6}},
         {"parameter": "q", "range": [-0.45, 0.45], "steps": 91, "fixed": {"p": 0.5, "s": 0.9}},
         {"parameter": "p", "range": [0.1, 0.9], "steps": 81, "fixed": {"q": -0.2, "s": 0.3}},
+        # Weights below the entropy's zero clamp, and a point mass at gamma = 0.
+        {"parameter": "gamma", "range": [-1e-7, 1e-7], "steps": 21, "fixed": {"s": 0.0}},
+        # The README example and the two shapes the benchmark's `cli` workload runs.
+        {"parameter": "s", "range": [0.1, 0.4], "steps": 7, "fixed": {"gamma": 0.6}},
+        {"parameter": "s", "range": [-0.8, 0.8], "steps": 2400, "fixed": {"gamma": 0.8731}},
+        {"parameter": "s", "range": [-0.8, 0.8], "steps": 1600, "fixed": {"p": 0.41, "q": -0.137}},
     ])
     def test_matches_per_step_reference(self, spec):
         assert run_sweep(parse_sweep_spec(spec)) == _sweep_reference(spec)
+
+    def test_blocks_join_seamlessly(self, monkeypatch):
+        spec = {"parameter": "q", "range": [-0.45, 0.45], "steps": 91, "fixed": {"p": 0.5, "s": 0.9}}
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", 7)
+        assert run_sweep(parse_sweep_spec(spec)) == _sweep_reference(spec)
+
+    @pytest.mark.parametrize("block", [7, cli._SWEEP_BLOCK])
+    @pytest.mark.parametrize("spec", FAILING_SWEEPS)
+    def test_failing_step_matches_reference(self, spec, block, monkeypatch):
+        # The first step the library rejects raises its error, with the same
+        # numpy warnings, whatever block it falls in.
+        monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
+        assert _outcome(run_sweep, parse_sweep_spec(spec)) == _outcome(_sweep_reference, spec)
+
+    def test_stacked_pass_never_accepts_what_the_library_rejects(self):
+        # Steps at every boundary of the library's checks: the eigenvalue
+        # floor of O, the Weyl/Cholesky switch at |s| = 1/sqrt(2), a+ O a
+        # overflow, rho's PSD tolerance, Tr(O rho) <= 0 and the degenerate
+        # trace. A step the stacked pass proves valid must be valid, with the
+        # library's row to the bit.
+        rng = np.random.default_rng(11)
+        n = 1500
+
+        def near(x, ulps):
+            return x + rng.integers(-ulps, ulps + 1, size=n) * np.spacing(x)
+
+        sign = rng.choice([-1.0, 1.0], n)
+        s = np.concatenate([near(1 - 1e-12, 2000)[:500], rng.uniform(-1, 1, 500), near(0.5**0.5, 3)[:500]])
+        s *= sign
+        gamma = sign * 10 ** rng.uniform(-3, 160, n)
+        gamma[:300] = near(-1.0, 5)[:300] / s[:300]
+        p = rng.uniform(0, 1, n)
+        p[:40], p[40:80] = 0.0, 1.0
+        q = np.sqrt(p * (1 - p)) * rng.choice([-1.0, 1.0], n) + rng.normal(size=n) * 10 ** rng.uniform(-13, -8, n)
+        deg = slice(1000, 1400)  # Tr(O rho) = 1 - 2|q s| straddles 0 and 1e-12
+        p[deg] = 0.5
+        s[deg] = sign[deg] * near(1 - 1e-11, 4000)[deg]
+        q[deg] = -sign[deg] * (0.5 + rng.uniform(4e-12, 5.5e-12, 400))
+        seen = Counter()
+        for params in ({"s": s, "gamma": gamma}, {"s": s, "p": p, "q": q}):
+            table, proven = cli._sweep_table(params, n)
+            for i in range(n):
+                step = {name: float(column[i]) for name, column in params.items()}
+                try:
+                    with np.errstate(all="ignore"):
+                        row = cli._sweep_step(step)
+                except (LowdinKitError, ValueError) as exc:
+                    assert not proven[i], (step, exc)
+                    seen[type(exc).__name__] += 1
+                    continue
+                seen["valid", bool(proven[i])] += 1
+                if proven[i]:
+                    assert [float(x) for x in row] == table[i].tolist(), step
+        assert seen["valid", True] > 1500 and not seen["valid", False], seen
+        assert min(seen[name] for name in ("NotPositiveDefinite", "ValueError", "InvalidParameters",
+                                           "DegenerateTrace")) >= 50, seen
 
     def test_beta_family_two_points(self, capsys, tmp_path):
         spec = write_json(
@@ -541,9 +626,18 @@ class TestInputErrors:
          "(largest eigenvalue 2.000e+00, dimension 2)"),
         (sweep_spec(parameter="p", range=[0.5, 1.0], steps=6, fixed={"q": 0.3, "s": 0.2}),
          "InvalidParameters: coefficient matrix has eigenvalue -8.310e-02 below -1e-10"),
+        (FAILING_SWEEPS[0], "InvalidParameters: coefficient matrix has eigenvalue -1.000e-01 below -1e-10"),
+        (FAILING_SWEEPS[1], "InvalidParameters: coefficient matrix has eigenvalue -1.597e-03 below -1e-10"),
     ])
     def test_sweep_step_outside_domain(self, capsys, tmp_path, spec, error):
         assert self._sweep(capsys, tmp_path, spec) == (3, "", f"error: {error}\n")
+
+    def test_sweep_too_large_to_allocate(self, capsys, tmp_path):
+        # 8 PB of step values lie beyond a 47-bit address space, so the
+        # allocation fails at once whatever the overcommit policy.
+        code, out, err = self._sweep(capsys, tmp_path, sweep_spec(steps=10**15))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: MemoryError: Unable to allocate ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("state, message", [
         ([1], "state: expected a JSON object"),

@@ -14,6 +14,7 @@ import pytest
 
 import lowdin_kit as lk
 from lowdin_kit.checks import reference_rows
+from lowdin_kit.cli import parse_sweep_spec, run_sweep
 
 
 def _inputs(d=6):
@@ -30,6 +31,13 @@ def _inputs(d=6):
 COLS, OVERLAP, RAW, RHO = _inputs()
 # Three blocks of gram_schmidt's triangular inverse (block size 32).
 COLS65 = _inputs(65)[0]
+
+
+def _sweep(steps, **fixed):
+    # |s| runs past 1/sqrt(2), where a Gram built per step needs a Cholesky proof.
+    spec = {"parameter": "s", "range": [-0.95, 0.95], "steps": steps, "fixed": fixed}
+    return lambda: run_sweep(parse_sweep_spec(spec))
+
 
 OPS = {
     # The Cholesky is BasisSet's validation, and O is never diagonalized;
@@ -71,6 +79,13 @@ OPS = {
     # far from the identity are validated by Cholesky and never need
     # their spectrum.
     "paper_check_rows": (reference_rows, {"eigh": 11, "cholesky": 2}),
+    # One stacked eigh of the O of every step in a block of up to 4096 steps,
+    # and for the density family one more of every step's rho.
+    "sweep_pure_7": (_sweep(7, gamma=0.6), {"eigh": 1}),
+    "sweep_pure_2400": (_sweep(2400, gamma=0.6), {"eigh": 1}),
+    "sweep_density_7": (_sweep(7, p=0.4, q=0.2), {"eigh": 2}),
+    "sweep_density_1600": (_sweep(1600, p=0.4, q=0.2), {"eigh": 2}),
+    "sweep_pure_two_blocks": (_sweep(4097, gamma=0.6), {"eigh": 2}),
 }
 
 
