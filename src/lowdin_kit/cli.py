@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -32,16 +33,13 @@ from .fileformats import (
     round_tree,
     vector_to_pairs,
 )
-from .gram import DIAG_TOL
-from .linalg import LAMBDA_FLOOR
+from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _ct, _half_power
 from .measures import _ZERO_CLAMP, measure_report
 from .ortho import OrthoMethod, gram_schmidt, lowdin_canonical, lowdin_symmetric
 from .states import (
     _MIN_NORM2,
     _MIN_TRACE,
-    _NEGATIVE_WEIGHT_TOL,
     _PSD_TOL,
-    _TRACE_TOL,
     _WEIGHT_SUM_TOL,
     DensityOperator,
     PureState,
@@ -237,6 +235,8 @@ def parse_sweep_spec(obj) -> SweepSpec:
     for bound in (lo, hi):
         if not _SWEEP_DOMAINS[parameter](bound):
             raise ValueError(f"sweep: bound {bound} outside the domain of {parameter!r}")
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"sweep: range [{lo}, {hi}] is wider than the largest float")
     for name, value in fixed.items():
         if name not in _SWEEP_DOMAINS:
             raise ValueError(f"sweep: unknown fixed parameter {name!r}")
@@ -268,58 +268,39 @@ def _sweep_step(params: dict) -> tuple:
     return (*w.weights, m.entropy, m.participation_ratio, m.inverse_participation_ratio)
 
 
-def _ct(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return m.conj().transpose(0, 2, 1)
-
-
-def _hermitian_stack(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian parts of a stack, and the matrices that are finite and equal
-    their Hermitian part, so that they pass the library's asymmetry check."""
-    h = 0.5 * (m + _ct(m))
-    return h, np.isfinite(h).all(axis=(1, 2)) & (h == m).all(axis=(1, 2))
-
-
 def _sweep_table(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows w_1, w_2, entropy, pr, ipr of n steps in one stacked pass, and the
     steps proven to pass every check of `_sweep_step`. Each parameter is a
-    scalar or an n-vector. Every step does the library's arithmetic in the
-    library's order, so a proven step's row equals `_sweep_step`'s to the bit;
-    the others may hold anything."""
+    scalar or an n-vector from `parse_sweep_spec`'s domains, so each O and rho
+    is finite and exactly Hermitian, with unit diagonal or trace; the mask
+    proves only what depends on a step's arithmetic. Every step does the
+    library's arithmetic in the library's order, so a proven step's row equals
+    `_sweep_step`'s to the bit; the others may hold anything."""
     col = {name: np.broadcast_to(value, (n,)) for name, value in params.items()}
     with np.errstate(all="ignore"):
         o = np.zeros((n, 2, 2), dtype=complex)
         o[:, 0, 0] = o[:, 1, 1] = 1.0
         o[:, 0, 1] = o[:, 1, 0] = col["s"]
-        o, ok = _hermitian_stack(o)
-        dev = np.abs(o - np.eye(2))
-        ok &= dev.max(axis=(1, 2)) < 1.0
-        ok &= np.diagonal(dev, axis1=1, axis2=2).max(axis=1) <= DIAG_TOL
-        lam, u = np.linalg.eigh(o)
-        ok &= lam[:, 0] > LAMBDA_FLOOR
-        powered = (u * lam[:, None, :] ** 0.5) @ _ct(u)
-        half = 0.5 * (powered + _ct(powered))
+        eig = HermitianEigenDecomposition(*np.linalg.eigh(o))
+        ok = eig.eigenvalues[:, 0] > LAMBDA_FLOOR
+        half = _half_power(eig, 0.5)
         if "gamma" in col:
             a = np.ones((n, 2), dtype=complex)
             a[:, 1] = col["gamma"]
             norm2 = np.real(a.conj()[:, None, :] @ o @ a[:, :, None])[:, 0, 0]
-            ok &= np.isfinite(norm2) & (norm2 > _MIN_NORM2)
+            ok &= norm2 > _MIN_NORM2
             w = np.abs(half @ (a / np.sqrt(norm2)[:, None])[:, :, None])[:, :, 0] ** 2
         else:
             rho = np.zeros((n, 2, 2), dtype=complex)
             rho[:, 0, 0], rho[:, 1, 1] = col["p"], 1.0 - col["p"]
             rho[:, 0, 1] = rho[:, 1, 0] = col["q"]
-            rho, herm = _hermitian_stack(rho)
-            lam_rho = np.linalg.eigh(np.where(herm[:, None, None], rho, np.eye(2)))[0]
-            ok &= herm & (np.abs(np.real(np.trace(rho, axis1=1, axis2=2)) - 1.0) <= _TRACE_TOL)
-            ok &= (lam_rho[:, 0] >= -_PSD_TOL) & (np.real(np.trace(o @ rho, axis1=1, axis2=2)) > 0.0)
+            ok &= np.linalg.eigh(rho)[0][:, 0] >= -_PSD_TOL
+            ok &= np.real(np.trace(o @ rho, axis1=1, axis2=2)) > 0.0
             m = half @ rho @ half
             tr = np.real(np.trace(m, axis1=1, axis2=2))
             ok &= tr > _MIN_TRACE
             m = m / tr[:, None, None]
             w = np.clip(np.real(np.diagonal(0.5 * (m + _ct(m)), axis1=1, axis2=2)), 0.0, None)
-        ok &= np.isfinite(w).all(axis=1) & (w >= -_NEGATIVE_WEIGHT_TOL).all(axis=1)
-        w = np.clip(w, 0.0, None)
         ok &= np.abs(w.sum(axis=1) - 1.0) <= _WEIGHT_SUM_TOL
         ipr = (w**2).sum(axis=1)
         entropy = -np.where(w > _ZERO_CLAMP, w * np.log2(w), 0.0).sum(axis=1)

@@ -124,8 +124,6 @@ def _checked_gram(obj) -> tuple[int, partial]:
     for entry in overlaps:
         if not isinstance(entry, list) or len(entry) != 4:
             raise ValueError(f"gram.overlaps: expected [i, j, re, im], got {entry!r}")
-        if not (_is_integer(entry[0]) and _is_integer(entry[1])):
-            raise ValueError(f"gram.overlaps: indices must be integers, got {entry!r}")
         pairs.append((entry[0], entry[1], _as_pair(entry[2:], "gram.overlaps")))
     return dim, partial(gram_from_overlaps, OverlapSpec(dim, pairs))
 

@@ -65,12 +65,18 @@ def _check_floor(eig: HermitianEigenDecomposition) -> float:
     return lam_min
 
 
+def _ct(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def _half_power(eig: HermitianEigenDecomposition, exponent: float) -> np.ndarray:
-    """U diag(lambda**exponent) U+ from a positive-definite decomposition."""
+    """U diag(lambda**exponent) U+ from a positive-definite decomposition,
+    or from a stack of them along leading axes."""
     u = eig.eigenvectors
-    powered = (u * eig.eigenvalues**exponent) @ u.conj().T
+    powered = (u * eig.eigenvalues[..., None, :] ** exponent) @ _ct(u)
     # Re-Hermitize: exact symmetry is part of the contract.
-    return 0.5 * (powered + powered.conj().T)
+    return 0.5 * (powered + _ct(powered))
 
 
 def hermitian_eig(m) -> HermitianEigenDecomposition:

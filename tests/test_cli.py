@@ -3,9 +3,12 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import edge_psd_densities, shared_component_columns
 from lowdin_kit import (DensityOperator, LowdinKitError, OverlapSpec, gram_from_overlaps,
@@ -318,6 +321,50 @@ def _outcome(sweep, spec):
     return type(info.value), str(info.value), [str(w.message) for w in caught]
 
 
+def _result(sweep, spec):
+    """The sweep's CSV, or the type and message of its error; and its numpy warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = sweep(spec)
+        except (LowdinKitError, ValueError) as exc:
+            out = type(exc), str(exc)
+    return out, [str(w.message) for w in caught]
+
+
+_SIGN = st.sampled_from([-1.0, 1.0])
+# Overlaps anywhere in (-1, 1), and 1 - 10^-e in magnitude up to the largest double below 1.
+_S = st.one_of(st.floats(-0.99, 0.99), st.builds(lambda sign, e: sign * (1.0 - 10.0**-e), _SIGN,
+                                                 st.floats(0.5, 15.9)))
+# gamma or q from 1e-3 to 1e300 in magnitude, or 0.
+_HUGE = st.one_of(st.just(0.0), st.builds(lambda sign, e: sign * 10.0**e, _SIGN, st.floats(-3, 300)))
+_P = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+def _q_near_edge(p):
+    """q with q^2 within a relative 1e-16 ... 1e-8 of p(1 - p), either side, or anywhere."""
+    edge = st.builds(lambda sign, e, side: sign * np.sqrt(p * (1.0 - p)) * (1.0 + side * 10.0**-e),
+                     _SIGN, st.floats(8, 16), _SIGN)
+    return st.one_of(edge, _HUGE)
+
+
+@st.composite
+def accepted_sweep_specs(draw):
+    """Sweep specs that parse_sweep_spec accepts, over both families."""
+    parameter = draw(st.sampled_from(["s", "gamma", "p", "q"]))
+    if parameter == "gamma" or (parameter == "s" and draw(st.booleans())):
+        fixed = {"s": draw(_S), "gamma": draw(_HUGE)}
+    else:
+        p = draw(_P)
+        fixed = {"s": draw(_S), "p": p, "q": draw(_q_near_edge(p))}
+    values = _q_near_edge(fixed["p"]) if parameter == "q" else {"s": _S, "gamma": _HUGE, "p": _P}[parameter]
+    lo, hi = sorted(draw(st.lists(values, min_size=2, max_size=2)))
+    assume(lo < hi)
+    del fixed[parameter]
+    return {"parameter": parameter, "range": [lo, hi], "steps": draw(st.integers(2, 64)),
+            "fixed": fixed}
+
+
 class TestSweep:
     @pytest.mark.parametrize("spec", [
         {"parameter": "s", "range": [-0.95, 0.95], "steps": 301, "fixed": {"gamma": -1.7}},
@@ -390,6 +437,15 @@ class TestSweep:
         assert seen["valid", True] > 1500 and not seen["valid", False], seen
         assert min(seen[name] for name in ("NotPositiveDefinite", "ValueError", "InvalidParameters",
                                            "DegenerateTrace")) >= 50, seen
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(spec=accepted_sweep_specs())
+    def test_accepted_specs_match_reference(self, spec):
+        # The stacked pass trusts parse_sweep_spec for each step's domain:
+        # across extreme gamma and q, s near +-1 and q^2 near p(1 - p), every
+        # accepted spec gives the per-step reference's CSV, or its error and
+        # numpy warnings.
+        assert _result(run_sweep, parse_sweep_spec(spec)) == _result(_sweep_reference, spec)
 
     def test_beta_family_two_points(self, capsys, tmp_path):
         spec = write_json(
@@ -500,14 +556,32 @@ class TestInputNumbers:
         [1, 2, True, 0],
     ])
     def test_overlap_entry_rejected(self, capsys, tmp_path, entry):
+        # A bad index is reported by OverlapSpec, a bad value by the file parser.
+        bad_index = any(type(i) is not int for i in entry[:2])
+        prefix = "overlap pair" if bad_index else "gram.overlaps"
         state = write_json(
             tmp_path / "state.json",
             {"gram": {"dim": 2, "overlaps": [entry]}, "pure": self.PURE},
         )
         code, out, err = run_cli(capsys, ["weights", "--state", state])
         assert (code, out) == (2, "")
-        assert err.startswith("error: ValueError: gram.overlaps")
+        assert err.startswith(f"error: ValueError: {prefix}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry, pair", [
+        ([True, 2, 0.4, 0.0], "(True, 2, (0.4+0j))"),
+        ([1, False, 0.4, 0.0], "(1, False, (0.4+0j))"),
+        ([1, 2.0, 0.4, 0.0], "(1, 2.0, (0.4+0j))"),
+        ([1.5, 2, 0.3, 0], "(1.5, 2, (0.3+0j))"),
+    ])
+    def test_overlap_index_rejected(self, capsys, tmp_path, entry, pair):
+        # OverlapSpec is the one place that checks the pair indices.
+        state = write_json(
+            tmp_path / "state.json",
+            {"gram": {"dim": 2, "overlaps": [entry]}, "pure": self.PURE},
+        )
+        assert run_cli(capsys, ["weights", "--state", state]) == (
+            2, "", f"error: ValueError: overlap pair {pair} needs integer indices\n")
 
     def test_integer_overlap_values_accepted(self, capsys, tmp_path):
         state = write_json(
@@ -616,6 +690,14 @@ class TestInputErrors:
         (sweep_spec(range=[0.1, 1.0], steps=1), "sweep: steps must be an integer >= 2"),
         (sweep_spec(range=[0.1, 1.0], fixed={"theta": 1.0}),
          "sweep: bound 1.0 outside the domain of 's'"),
+        # np.linspace would overflow forming hi - lo, and warn.
+        (sweep_spec(parameter="gamma", range=[-1e308, 1e308], steps=3, fixed={"s": 0.3}),
+         "sweep: range [-1e+308, 1e+308] is wider than the largest float"),
+        (sweep_spec(parameter="q", range=[-1e308, 1e308], fixed={"p": 0.5, "s": 0.3}),
+         "sweep: range [-1e+308, 1e+308] is wider than the largest float"),
+        # Two faults: the width is checked before the fixed values.
+        (sweep_spec(parameter="q", range=[-1e308, 1e308], fixed={"p": 0.5, "s": 1.0}),
+         "sweep: range [-1e+308, 1e+308] is wider than the largest float"),
     ])
     def test_sweep_spec_rejected(self, capsys, tmp_path, spec, message):
         assert self._sweep(capsys, tmp_path, spec) == (2, "", f"error: ValueError: {message}\n")
@@ -709,6 +791,23 @@ class TestInputErrors:
     def test_report_unknown_field_rejected(self):
         with pytest.raises(ValueError, match=r"^report: unknown fields \['extra'\]$"):
             AnalysisReport.from_dict({"command": "weights", "input": {}, "extra": 1})
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("command, flag, source, expected", [
+    ("sweep", "--spec", "readme_sweep.json", "readme_sweep.csv"),
+    ("sweep", "--spec", "density_sweep.json", "density_sweep.csv"),
+    ("weights", "--state", "readme_pure.json", "readme_pure.report.json"),
+    ("weights", "--state", "readme_rho.json", "readme_rho.report.json"),
+])
+def test_output_matches_golden_bytes(tmp_path, command, flag, source, expected):
+    # Files written by an earlier version of the CLI. All are 2x2 cases, so
+    # the bytes do not depend on which BLAS kernels run.
+    out = tmp_path / expected
+    assert main([command, flag, str(GOLDEN / source), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / expected).read_bytes()
 
 
 class TestPaperCheck:
