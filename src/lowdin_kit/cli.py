@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -314,7 +315,10 @@ def run_sweep(spec: SweepSpec) -> str:
     Each block of steps is computed in one stacked pass; a step the pass cannot
     prove valid is replayed, in step order, through the library, which then
     raises that step's typed error or yields its row."""
-    values = np.linspace(spec.lo, spec.hi, spec.steps)
+    # Only the last product (steps - 1) * step can overflow, and linspace
+    # overwrites that entry with hi, which the parser has proven finite.
+    with np.errstate(over="ignore"):
+        values = np.linspace(spec.lo, spec.hi, spec.steps)
     lines = ["param,w_1,w_2,entropy,pr,ipr"]
     for start in range(0, spec.steps, _SWEEP_BLOCK):
         block = values[start : start + _SWEEP_BLOCK]
@@ -375,7 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # The error line names the cause; numpy's warnings would only precede it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     # RecursionError: an input nested past the interpreter's recursion limit.
     # MemoryError: an input that asks for more memory than there is, e.g. a sweep's steps.
     except (LowdinKitError, ValueError, KeyError, OSError, RecursionError, MemoryError) as exc:

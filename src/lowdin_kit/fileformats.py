@@ -128,11 +128,6 @@ def _checked_gram(obj) -> tuple[int, partial]:
     return dim, partial(gram_from_overlaps, OverlapSpec(dim, pairs))
 
 
-def parse_gram(obj) -> GramMatrix:
-    """Parse a gram.json object (overlap list or dense matrix form)."""
-    return _checked_gram(obj)[1]()
-
-
 def parse_basis(obj) -> BasisSet:
     """Parse a basis.json object (list of column vectors)."""
     if not isinstance(obj, dict):

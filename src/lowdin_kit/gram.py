@@ -1,8 +1,8 @@
 """Overlap (Gram) matrices of non-orthogonal basis sets.
 
 A GramMatrix is Hermitian positive definite with unit diagonal. It is
-validated by a Cholesky factorization, or by Weyl's bound when it is near
-the identity; its one eigendecomposition is computed only when something
+validated by one Cholesky factorization, with an eigendecomposition only
+where that fails; its one eigendecomposition is computed only when something
 needs it, and the cached +-1/2 powers used throughout derive from it.
 The inner product convention is conjugate-linear in the first slot:
 ``O_ij = <c_i | c_j> = c_i+ c_j``.
@@ -34,10 +34,10 @@ _RANDOM_GRAM_TRIES = 1000
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Validated overlap matrix. Immutable. Positive definiteness is proven
-    by Weyl's bound near the identity, else by one Cholesky factorization,
-    and only where that fails does the spectrum decide. It is diagonalized
-    at most once, on first use of `eigen` or the powers."""
+    """Validated overlap matrix. Immutable. The one check of |O_ij| < 1, for
+    dense and pairwise input alike; one Cholesky factorization proves it
+    positive definite, and only where that fails does the spectrum decide.
+    It is diagonalized at most once, on first use of `eigen` or the powers."""
 
     matrix: np.ndarray
 
@@ -54,8 +54,7 @@ class GramMatrix:
         if diag_dev > DIAG_TOL:
             raise NotNormalized(f"diagonal deviates from 1 by {diag_dev:.3e}")
         d = a.shape[0]
-        off = a - np.eye(d)
-        mags = np.abs(off)
+        mags = np.abs(a - np.eye(d))
         if np.any(mags >= 1.0):
             i, j = np.unravel_index(np.argmax(np.triu(mags)), mags.shape)
             raise NotPositiveDefinite(
@@ -63,16 +62,12 @@ class GramMatrix:
             )
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
-        # Weyl: every eigenvalue lies within ||O - I||_2 <= ||O - I||_F of 1,
-        # so below this distance O is proven positive definite.
-        if np.linalg.norm(off) < 1.0 - linalg.LAMBDA_FLOOR:
-            return
-        # A computed Cholesky factor of O - sigma I (|entries| <= 1) is exact
-        # for a perturbation of 2-norm <= (d+1) d u (Higham, Accuracy and
-        # Stability, 2nd ed., Thm 10.3), and eigh's lambda_min errs by the
-        # same order. With sigma the floor plus four times that, a factor
-        # proves that eigh would put lambda_min above the floor; without one
-        # the spectrum decides.
+        # A computed Cholesky factor of O - sigma I (|entries| <= 1 by the
+        # scan above) is exact for a perturbation of 2-norm <= (d+1) d u
+        # (Higham, Accuracy and Stability, 2nd ed., Thm 10.3), and eigh's
+        # lambda_min errs by the same order. With sigma the floor plus four
+        # times that, a factor proves that eigh would put lambda_min above
+        # the floor; without one the spectrum decides.
         sigma = linalg.LAMBDA_FLOOR + 4.0 * (d + 1) * d * np.finfo(float).eps / 2
         try:
             np.linalg.cholesky(a - sigma * np.eye(d))
@@ -137,8 +132,6 @@ class OverlapSpec:
             if (i, j) in seen:
                 raise ValueError(f"duplicate overlap pair ({i}, {j})")
             seen.add((i, j))
-            if abs(v) >= 1.0:
-                raise ValueError(f"overlap magnitude |{v}| must be < 1")
         object.__setattr__(self, "pairs", pairs)
 
 

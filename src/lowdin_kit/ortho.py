@@ -194,8 +194,9 @@ def induce_nonorthogonal(gram: GramMatrix) -> BasisSet:
     Fixes the orthonormal frame to the computational basis, so the k-th
     basis vector is the k-th column of O^{1/2}; symmetric
     orthogonalization of the result recovers the computational basis.
+    The basis keeps the validated Gram it realizes, which is not proven again.
     """
-    return BasisSet(gram.sqrt)
+    return _derived(BasisSet, vectors=gram.sqrt, gram=gram)
 
 
 def distortion(a: BasisSet, b: BasisSet) -> float:

@@ -27,12 +27,12 @@ def _frozen_array(obj, name: str, value: np.ndarray):
 
 
 def _derived(cls, **fields):
-    """Frozen dataclass cls from fields derived from validated inputs, skipping __post_init__."""
+    """Frozen dataclass cls from validated fields, set past __post_init__ and any descriptor."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(obj, name, value)
+    vars(obj).update(fields)
     return obj
 
 

@@ -312,6 +312,12 @@ FAILING_SWEEPS = [
 ]
 
 
+# Within rounding of the largest float: linspace's last product (steps - 1) * step
+# overflows before hi overwrites it, and step 2 overflows a+ O a.
+WIDE_SWEEP = {"parameter": "gamma", "range": [-1e-300, 1.7976931348623157e308], "steps": 7,
+              "fixed": {"s": 0.3}}
+
+
 def _outcome(sweep, spec):
     """Type and message of the error the sweep raises, and its numpy warnings."""
     with warnings.catch_warnings(record=True) as caught:
@@ -395,9 +401,18 @@ class TestSweep:
         monkeypatch.setattr(cli, "_SWEEP_BLOCK", block)
         assert _outcome(run_sweep, parse_sweep_spec(spec)) == _outcome(_sweep_reference, spec)
 
+    def test_grid_does_not_warn(self):
+        # The one numpy warning is the failing step's own.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^state coefficients overflow a\+Oa = inf$"):
+                run_sweep(parse_sweep_spec(WIDE_SWEEP))
+        assert [(str(w.message), Path(w.filename).name) for w in caught] == [
+            ("overflow encountered in matmul", "states.py")]
+
     def test_stacked_pass_never_accepts_what_the_library_rejects(self):
         # Steps at every boundary of the library's checks: the eigenvalue
-        # floor of O, the Weyl/Cholesky switch at |s| = 1/sqrt(2), a+ O a
+        # floor of O, ||O - I||_F = 1 at |s| = 1/sqrt(2), a+ O a
         # overflow, rho's PSD tolerance, Tr(O rho) <= 0 and the degenerate
         # trace. A step the stacked pass proves valid must be valid, with the
         # library's row to the bit.
@@ -610,7 +625,6 @@ class TestInputNumbers:
         assert err.startswith("error: ValueError: sweep")
         assert not (tmp_path / "x.csv").exists()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("field, value, message", [
         ("pure", [[float("nan"), 0.0], [1.0, 0.0]], "state coefficients contain"),
         ("pure", [[1.0, float("inf")], [1.0, 0.0]], "state coefficients contain"),
@@ -625,8 +639,6 @@ class TestInputNumbers:
         assert (code, out) == (2, "")
         assert err == f"error: ValueError: {message} non-finite entries\n"
 
-
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_pure_norm_rejected(self, capsys, tmp_path):
         state = write_json(
             tmp_path / "state.json",
@@ -636,7 +648,6 @@ class TestInputNumbers:
         assert (code, out) == (2, "")
         assert err == "error: ValueError: state coefficients overflow a+Oa = inf\n"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_sweep_state_rejected(self, capsys, tmp_path):
         spec = {"parameter": "s", "range": [0.1, 0.4], "steps": 2, "fixed": {"gamma": 1e200},
                 "out": str(tmp_path / "x.csv")}
@@ -740,6 +751,29 @@ class TestInputErrors:
         path = write_json(tmp_path / "state.json", state)
         assert run_cli(capsys, ["weights", "--state", path]) == (
             2, "", f"error: ValueError: {message}\n")
+
+    @pytest.mark.parametrize("gram", [
+        {"dim": 2, "overlaps": [[1, 2, 1.2, 0.0]]},
+        {"dim": 2, "matrix": [[1.0, 0.0], [1.2, 0.0], [1.2, 0.0], [1.0, 0.0]]},
+    ])
+    def test_unit_magnitude_overlap_is_math_error(self, capsys, tmp_path, gram):
+        # Both forms of the Gram fail in GramMatrix, naming the pair.
+        path = write_json(tmp_path / "state.json", {"gram": gram, "pure": self.PURE})
+        assert run_cli(capsys, ["weights", "--state", path]) == (3, "", (
+            "error: NotPositiveDefinite: an off-diagonal overlap has magnitude >= 1: "
+            "|O_ij| = 1.2 at (1, 2)\n"))
+
+    @pytest.mark.parametrize("command, flag, obj", [
+        ("weights", "--state", {"gram": {"dim": 2, "overlaps": []}, "pure": [[1e200, 0.0], [0.0, 0.0]]}),
+        ("sweep", "--spec", WIDE_SWEEP),
+    ])
+    def test_failure_writes_one_stderr_line(self, tmp_path, command, flag, obj):
+        # numpy's overflow warnings do not reach the process's stderr.
+        argv = [command, flag, write_json(tmp_path / "in.json", obj), "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-m", "lowdin_kit", *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "error: ValueError: state coefficients overflow a+Oa = inf\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("basis, message", [
         ([1], "basis: expected a JSON object"),

@@ -34,7 +34,7 @@ COLS65 = _inputs(65)[0]
 
 
 def _sweep(steps, **fixed):
-    # |s| runs past 1/sqrt(2), where a Gram built per step needs a Cholesky proof.
+    # |s| runs up to 0.95; no step builds a Gram, the stacked eigh of every O proves them all.
     spec = {"parameter": "s", "range": [-0.95, 0.95], "steps": steps, "fixed": fixed}
     return lambda: run_sweep(parse_sweep_spec(spec))
 
@@ -67,18 +67,23 @@ OPS = {
         lambda: lk.offdiagonal_decomposition(lk.DensityOperator(lk.GramMatrix(OVERLAP), RHO)),
         {"cholesky": 1, "eigh": 2},
     ),
-    # ||O - I||_F = 0.4 sqrt(2) < 1 proves O positive definite (Weyl).
+    # Near the identity too, the Cholesky is the one proof of positive definiteness.
     "gram_near_identity": (
         lambda: lk.gram_from_overlaps(lk.OverlapSpec(2, [(1, 2, 0.4)])),
-        {},
+        {"cholesky": 1},
+    ),
+    # The induced basis keeps the Gram it realizes: C+ C is not proven again,
+    # and O^{1/2} and O^{-1/2} share one eigh.
+    "induced_lowdin_symmetric": (
+        lambda: lk.lowdin_symmetric(lk.induce_nonorthogonal(lk.GramMatrix(OVERLAP))),
+        {"cholesky": 1, "eigh": 1},
     ),
     # 31 rows over many small Grams; the s=0.5 eigenvalue, sqrt and
     # condition-number rows share one decomposition, the three
     # transformed densities are not diagonalized again, and each Gram
-    # and weight distribution used by two rows is built once. Two Grams
-    # far from the identity are validated by Cholesky and never need
-    # their spectrum.
-    "paper_check_rows": (reference_rows, {"eigh": 11, "cholesky": 2}),
+    # and weight distribution used by two rows is built once. Each of the
+    # twelve Grams (eleven 2x2, one 3x3) is proven by one Cholesky.
+    "paper_check_rows": (reference_rows, {"eigh": 11, "cholesky": 12}),
     # One stacked eigh of the O of every step in a block of up to 4096 steps,
     # and for the density family one more of every step's rho.
     "sweep_pure_7": (_sweep(7, gamma=0.6), {"eigh": 1}),
@@ -101,14 +106,6 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
-
-
-def test_fresh_inputs_are_far_from_identity():
-    # Otherwise the Gram matrices would skip the Cholesky proof and the
-    # counts below would not cover construction-time validation.
-    for cols in (COLS, COLS65):
-        assert np.linalg.norm(cols.conj().T @ cols - np.eye(cols.shape[1])) >= 1.0
-    assert np.linalg.norm(OVERLAP - np.eye(OVERLAP.shape[0])) >= 1.0
 
 
 def test_gram_schmidt_solves_against_its_triangular_factor(monkeypatch):

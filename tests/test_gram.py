@@ -93,11 +93,15 @@ class TestGramFromOverlaps:
         with pytest.raises(ValueError):
             OverlapSpec(2, [(1, 3, 0.5)])
         with pytest.raises(ValueError):
-            OverlapSpec(2, [(1, 2, 1.0)])
-        with pytest.raises(ValueError):
             OverlapSpec(3, [(1, 2, 0.1), (1, 2, 0.2)])
         with pytest.raises(ValueError):
             OverlapSpec(1)
+
+    def test_unit_magnitude_pair_rejected_by_the_gram(self):
+        # |v| < 1 is GramMatrix's rule alone; the pair form fails as the dense form does.
+        with pytest.raises(NotPositiveDefinite, match=re.escape(
+                "an off-diagonal overlap has magnitude >= 1: |O_ij| = 1 at (1, 2)")):
+            gram_from_overlaps(OverlapSpec(2, [(1, 2, 1.0)]))
 
     @pytest.mark.parametrize("pair", [(1.9, 2.7, 0.4), (True, 3, 0.1), (1, np.float64(3.0), 0.1)])
     def test_spec_rejects_non_integer_indices(self, pair):
@@ -225,8 +229,8 @@ class TestPowers:
             assert np.linalg.norm(g.inv_sqrt @ g.sqrt - np.eye(dim)) <= 1e-8
 
     def test_powers_bit_identical_to_matrix_function(self):
-        # Covers both the near-identity Grams, whose eigendecomposition is
-        # deferred, and raw overlaps of basis columns validated eagerly.
+        # Covers both near-identity random Grams and raw overlaps of basis
+        # columns; either way the eigendecomposition is deferred to first use.
         rng = corpus_rng(12)
         for dim in (2, 3, 5, 8):
             c = random_basis(rng, dim, ambient=dim + 2, overlap_range=(-0.5, 0.5)).vectors

@@ -14,6 +14,7 @@ from lowdin_kit import (
     BasisSet,
     DegenerateStep,
     DimensionMismatch,
+    GramMatrix,
     InvalidParameters,
     LinearlyDependent,
     NotNormalized,
@@ -405,6 +406,16 @@ class TestInduceNonorthogonal:
             g = random_gram_from(rng, dim)
             r = lowdin_symmetric(induce_nonorthogonal(g))
             assert np.linalg.norm(r.basis.vectors - np.eye(dim)) <= 1e-8
+
+    def test_accepts_every_gram_the_validators_accept(self):
+        # The diagonal is within DIAG_TOL = 1e-9 of 1, so the columns of
+        # O^{1/2} miss unit norm by 2.5e-10, beyond UNIT_NORM_TOL = 1e-10;
+        # the induced basis keeps its Gram rather than prove C+ C again.
+        g = GramMatrix([[1.0 + 5e-10, 0.3], [0.3, 1.0]])
+        basis = induce_nonorthogonal(g)
+        assert basis.gram is g
+        r = lowdin_symmetric(basis)
+        assert np.linalg.norm(r.basis.vectors - np.eye(2)) <= 1e-12
 
 
 class TestDistortion:
