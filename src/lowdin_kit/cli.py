@@ -25,13 +25,13 @@ import numpy as np
 from .checks import _gram2, reference_rows, render_table
 from .errors import LowdinKitError
 from .fileformats import (
+    _json_text,
     basis_to_dict,
     fmt12,
     matrix_to_pairs,
     parse_basis,
     parse_number,
     parse_state,
-    round_tree,
     vector_to_pairs,
 )
 from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _ct, _half_power
@@ -72,11 +72,6 @@ class AnalysisReport:
     offdiagonal_genuine: list | None = None
     measures: dict | None = None
 
-    def to_dict(self) -> dict:
-        """Set fields in declaration order, every float rounded once."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {name: round_tree(value) for name, value in values if value is not None}
-
     @classmethod
     def from_dict(cls, obj: dict) -> "AnalysisReport":
         known = {f.name for f in fields(cls)}
@@ -86,7 +81,10 @@ class AnalysisReport:
         return cls(**obj)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """Set fields in declaration order as indent-2 JSON, every float
+        rounded once to 12 significant digits."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return _json_text({name: value for name, value in values if value is not None}) + "\n"
 
 
 def _load_json(path: str):

@@ -5,8 +5,8 @@ row-major lists of pairs; indices in files are 1-based. Every number in
 an input file must be a JSON number: strings and booleans are rejected,
 however they read. The encoders below return full-precision floats;
 each number is rounded exactly once, to 12 significant digits, when a
-report is written (`round_tree`), which keeps repeated runs
-byte-identical while re-parsing losslessly.
+report is written (`_json_text`, which formats each float once), which
+keeps repeated runs byte-identical while re-parsing losslessly.
 
 Schemas:
     gram.json   {"dim": d, "overlaps": [[i, j, re, im], ...]}     (i < j)
@@ -21,6 +21,8 @@ Parse problems raise ValueError; the CLI maps those to exit code 2.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -29,9 +31,9 @@ from .ortho import BasisSet
 from .states import DensityOperator, PureState, normalize_pure
 
 SIGNIFICANT_DIGITS = 12
-# The one 12-digit format. round12 applies it itself rather than calling
-# the public fmt12, so a tracer that wraps public functions records no span
-# per rounded number.
+# The one 12-digit format. round12 and the report writer apply it themselves
+# rather than calling the public fmt12, so a tracer that wraps public
+# functions records no span per rounded number.
 _FORMAT = f".{SIGNIFICANT_DIGITS}g"
 
 
@@ -45,17 +47,71 @@ def round12(x: float) -> float:
     return float(format(float(x), _FORMAT))
 
 
-def round_tree(obj):
-    """Recursively round every float in a JSON-style structure."""
+# The JSON spelling (json.dumps's default allow_nan) of each non-finite text.
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _float_texts(xs: list) -> list[str]:
+    """json.dumps(round12(x)) of each float x, with one format per float.
+
+    The 12-digit text already is the repr of the rounded float, except
+    where repr writes another form: integral values (repr adds ".0"),
+    exponents e+12 to e+15 (repr writes them in full), e-308 and below
+    (subnormals keep fewer than 15 digits, so repr may differ), and
+    inf and nan. Those texts, and a few more that the cheap test below
+    also catches, take repr(round12(x)) or the JSON literal instead.
+    """
+    texts = [format(x, _FORMAT) for x in xs]
+    for i, t in enumerate(texts):
+        if "." not in t or "e+1" in t or "e-3" in t:
+            texts[i] = _NON_FINITE.get(t) or repr(round12(xs[i]))
+    return texts
+
+
+def _number_items(items: list | tuple, indent: str) -> list[str] | None:
+    """Item texts of a list of floats or of [re, im] float pairs whose
+    items sit at indent; None for any other list."""
+    types = set(map(type, items))
+    if types == {float}:
+        return _float_texts(items)
+    if types <= {list, tuple} and set(map(len, items)) == {2}:
+        flat = list(chain.from_iterable(items))
+        if set(map(type, flat)) == {float}:
+            texts = iter(_float_texts(flat))
+            pair = f"[\n{indent}  %s,\n{indent}  %s\n{indent}]"
+            return list(map(pair.__mod__, zip(texts, texts)))
+    return None
+
+
+def _json_text(obj, indent: str = "") -> str:
+    """json.dumps(obj, indent=2) with every float rounded once to 12
+    significant digits, for obj written at indent. Dict keys must be
+    strings, as they are in every report."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
     if isinstance(obj, bool):
-        return obj
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return round12(obj)
+        return _float_texts([obj])[0]
+    inner = indent + "  "
     if isinstance(obj, dict):
-        return {k: round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [round_tree(v) for v in obj]
-    return obj
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = _number_items(obj, inner) or [_json_text(v, inner) for v in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    body = (",\n" + inner).join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
 
 
 def _is_number(x) -> bool:

@@ -7,6 +7,7 @@ not this module, validates overlap matrices. All functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,22 @@ class HermitianEigenDecomposition:
 def _hermitian_part(m: np.ndarray, error=NotHermitian, what: str = "matrix") -> np.ndarray:
     """Raise error if m deviates from Hermiticity beyond tolerance, else
     return its Hermitian part, so roundoff-level asymmetry cannot leak on."""
-    tol = hermiticity_tolerance(m)
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    with np.errstate(over="ignore"):
+        tol = hermiticity_tolerance(m)
+    huge = math.isinf(tol)
+    if huge:
+        # ||m||_F overflows only above about 2**512, and m - m+ may overflow too,
+        # so an asymmetry would pass as inf > inf. Measure m * 2**-600
+        # instead: exact, bar entries far below the tolerance.
+        s = m * 2.0**-600
+        tol = 1e-10 * float(np.linalg.norm(s, "fro")) * 2.0**600
+        dev = float(np.max(np.abs(s - _ct(s)))) * 2.0**600
+    else:
+        dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise error(f"{what} asymmetry {dev:.3e} exceeds {tol:.3e}")
-    return 0.5 * (m + m.conj().T)
+    # Halving first keeps the Hermitian part of a huge m finite.
+    return 0.5 * m + 0.5 * _ct(m) if huge else 0.5 * (m + m.conj().T)
 
 
 def _check_floor(eig: HermitianEigenDecomposition) -> float:

@@ -763,6 +763,13 @@ class TestInputErrors:
             "error: NotPositiveDefinite: an off-diagonal overlap has magnitude >= 1: "
             "|O_ij| = 1.2 at (1, 2)\n"))
 
+    def test_overflowing_asymmetry_is_math_error(self, capsys, tmp_path):
+        # ||O||_F overflows; the identity Gram's weights used to come out.
+        gram = {"dim": 2, "matrix": [[1, 0], [1e308, 0], [-1e308, 0], [1, 0]]}
+        path = write_json(tmp_path / "state.json", {"gram": gram, "pure": self.PURE})
+        assert run_cli(capsys, ["weights", "--state", path]) == (
+            3, "", "error: NotHermitian: overlap matrix asymmetry inf exceeds 1.414e+298\n")
+
     @pytest.mark.parametrize("command, flag, obj", [
         ("weights", "--state", {"gram": {"dim": 2, "overlaps": []}, "pure": [[1e200, 0.0], [0.0, 0.0]]}),
         ("sweep", "--spec", WIDE_SWEEP),

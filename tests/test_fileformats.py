@@ -2,14 +2,17 @@
 
 The reference below is the former encoder: every element rounded as it is
 converted (`complex_to_pair`), then the whole report rounded again by
-`round_tree`. The vectorized encoders plus one `round_tree` pass must give
-the same bytes, since 12-digit rounding is idempotent.
+`round_tree` and written by `json.dumps(indent=2)`. The vectorized encoders
+plus the one-pass `to_json`, which formats each float once, must give the
+same bytes, since 12-digit rounding is idempotent.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_basis
 from lowdin_kit import cli, fileformats
@@ -192,7 +195,9 @@ class TestEncoders:
             "ambient_dim": 9,
             "vectors": [[[float(z.real), float(z.imag)] for z in col] for col in b.vectors.T],
         }
-        assert fileformats.round_tree(basis_to_dict(b)) == _basis_to_dict_old(b)
+        new = AnalysisReport(command="basis", input=basis_to_dict(b), basis=basis_to_dict(b)["vectors"])
+        old = _basis_to_dict_old(b)
+        assert new.to_json() == _to_json_old(AnalysisReport(command="basis", input=old, basis=old["vectors"]))
 
     def test_round12_is_fmt12(self):
         for x in SPECIAL:
@@ -213,15 +218,72 @@ class TestReportsThroughMain:
 
     def test_each_float_rounded_once(self, capsys, monkeypatch, report_commands):
         calls = []
-        real = fileformats.round12
+        real = fileformats._float_texts
 
-        def counted(x):
-            calls.append(x)
-            return real(x)
+        def counted(xs):
+            calls.extend(xs)
+            return real(xs)
 
-        monkeypatch.setattr(fileformats, "round12", counted)
+        monkeypatch.setattr(fileformats, "_float_texts", counted)
         for argv in report_commands:
             calls.clear()
             assert main(argv) == 0
             report = json.loads(capsys.readouterr().out)
             assert len(calls) == _floats(report) > 0
+
+    def test_special_values_match_old_encoder(self, capsys, monkeypatch, tmp_path):
+        # Extra keys of an input file are echoed in the report as they were read.
+        extra = {
+            "floats": EDGE_FLOATS,
+            "pairs": [EDGE_FLOATS[k:k + 2] for k in range(0, len(EDGE_FLOATS) - 1, 2)],
+            "literals": [float("nan"), float("inf"), float("-inf")],
+            "int_pairs": [[1, 0], [0, 1]],
+            "mixed_pair": [1, 0.5],
+            "flags": [True, False, None],
+            "text": "Löwdin – ψ",
+            "empty": [[], {}],
+        }
+        basis = {"ambient_dim": 3, "vectors": [[[1.0, 0.0], [0.0, -0.0], [0.0, 0.0]],
+                                               [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]], **extra}
+        state = {"gram": {"dim": 2, "overlaps": [[1, 2, 0.5, 0.0]]}, "pure": [[1.0, 0.0], [0.0, 0.0]],
+                 **extra}
+        commands = [
+            ["orthogonalize", "--basis", _write(tmp_path / "basis.json", basis), "--method", "gram-schmidt"],
+            ["weights", "--state", _write(tmp_path / "state.json", state)],
+        ]
+        new = _cli_outputs(capsys, commands)
+        with monkeypatch.context() as m:
+            m.setattr(AnalysisReport, "to_json", _to_json_old)
+            assert _cli_outputs(capsys, commands) == new
+        for text in ("-0.0,", "1000000000000.0,", "1e+16,", "5e-324,", "NaN,", "-Infinity\n",
+                     '"L\\u00f6wdin \\u2013 \\u03c8"', "[]", "{}"):
+            assert text in new[0] and text in new[1]
+
+        direct = AnalysisReport(command="edge", input=extra, weights=EDGE_FLOATS,
+                                transform=extra["pairs"], measures={"x": -0.0, "n": 3})
+        assert direct.to_json() == _to_json_old(direct)
+
+
+# Floats on each edge of the writer's one-format path: integral values,
+# exponents e+12 to e+15 (999999999999.5 rounds up to 1e12) and e+16 just
+# past them, subnormals (2.225073858507e-308 is one), and the largest double.
+EDGE_FLOATS = [0.0, -0.0, 1.0, 3.0, 123.0, -7.0, 999999999999.5, 1e12, 1e15, 1e16, 5e-324,
+               2.225073858507e-308, 1.7976931348623157e308, 0.1, -1e-5]
+
+json_floats = st.floats() | st.sampled_from(EDGE_FLOATS + [float(x) for x in SPECIAL])
+json_leaves = st.none() | st.booleans() | st.integers() | json_floats | st.text(max_size=8)
+json_trees = st.recursive(
+    json_leaves
+    | st.lists(json_floats, max_size=6)
+    | st.lists(st.lists(json_floats, min_size=2, max_size=2) | st.tuples(json_floats, json_floats), max_size=6)
+    | st.lists(st.lists(json_floats | st.integers() | st.booleans(), min_size=2, max_size=2), max_size=3),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(tree=json_trees, fields=json_trees)
+def test_json_trees_match_old_encoder(tree, fields):
+    report = AnalysisReport(command="tree", input={"tree": tree}, basis=fields, weights=[tree])
+    assert report.to_json() == _to_json_old(report)

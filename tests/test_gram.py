@@ -135,6 +135,10 @@ class TestMatrixInvariants:
         with pytest.raises(NotHermitian):
             GramMatrix(np.array([[1.0, 0.2], [0.5, 1.0]]))
 
+    def test_rejects_non_hermitian_whose_norm_overflows(self):
+        with pytest.raises(NotHermitian, match="^overlap matrix asymmetry inf exceeds 1.414e[+]298$"):
+            GramMatrix(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
     def test_rejects_unit_magnitude_overlap(self):
         with pytest.raises(NotPositiveDefinite):
             GramMatrix(np.array([[1.0, 1.0], [1.0, 1.0]]))

@@ -57,6 +57,23 @@ class TestHermitianEig:
         with pytest.raises(NotHermitian):
             hermitian_eig(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
+    @pytest.mark.parametrize("m", [
+        [[1.0, 1e308], [-1e308, 1.0]],
+        [[1e200, 3e199], [1e199, 1e200]],
+        [[1.0, 1e308j], [1e308j, 1.0]],
+    ])
+    def test_rejects_non_hermitian_whose_norm_overflows(self, m):
+        # ||m||_F is inf here, and so may be the largest |m - m+| entry.
+        with pytest.raises(NotHermitian, match="^matrix asymmetry"):
+            hermitian_eig(np.array(m))
+
+    def test_huge_hermitian_matrix_accepted(self):
+        # Its Hermitian part is formed without overflowing, and no warning escapes.
+        m = np.array([[1.5e308, 1e307j], [-1e307j, 1.5e308]])
+        eig = hermitian_eig(m)
+        assert np.allclose(eig.eigenvalues, [1.4e308, 1.6e308], rtol=1e-12)
+        assert np.isfinite(eig.eigenvectors).all()
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             hermitian_eig(np.ones((2, 3)))

@@ -398,6 +398,11 @@ class TestDensityOperatorValidation:
         with pytest.raises(InvalidParameters):
             DensityOperator(overlap2(0.2), np.array([[0.6, 0.3], [0.1, 0.4]]))
 
+    def test_rejects_non_hermitian_whose_norm_overflows(self):
+        # Not taken for the maximally mixed state by averaging 1e308 with -1e308.
+        with pytest.raises(InvalidParameters, match="^coefficient matrix asymmetry inf exceeds"):
+            DensityOperator(overlap2(0.2), np.array([[0.5, 1e308], [-1e308, 0.5]]))
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvalidParameters):
             DensityOperator(overlap2(0.2), np.diag([0.6, 0.6]))
