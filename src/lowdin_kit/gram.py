@@ -1,9 +1,10 @@
 """Overlap (Gram) matrices of non-orthogonal basis sets.
 
-A GramMatrix is Hermitian positive definite with unit diagonal. It is
-validated by one Cholesky factorization, with an eigendecomposition only
-where that fails; its one eigendecomposition is computed only when something
-needs it, and the cached +-1/2 powers used throughout derive from it.
+A GramMatrix is Hermitian positive definite with unit diagonal. Past the
+gate every Hermitian input passes (linalg._hermitian_part) it checks the
+overlap rules, and one Cholesky factorization, with an eigendecomposition
+only where that fails, proves it positive definite. Its one eigendecomposition
+is computed only when something needs it, and the +-1/2 powers derive from it.
 The inner product convention is conjugate-linear in the first slot:
 ``O_ij = <c_i | c_j> = c_i+ c_j``.
 """
@@ -42,21 +43,17 @@ class GramMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 2:
+        if np.shape(self.matrix) in ((0, 0), (1, 1)):
             raise ValueError("overlap matrix needs dimension >= 2")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("overlap matrix contains non-finite entries")
-        a = linalg._hermitian_part(a, NotHermitian, "overlap matrix")
-        diag_dev = float(np.max(np.abs(np.diag(a) - 1.0)))
+        a = linalg._hermitian_part(self.matrix, NotHermitian, "overlap matrix")
+        d = a.shape[0]
+        off = a - np.eye(d)  # O - I; later the Cholesky operand O - sigma I
+        diag_dev = float(np.max(np.abs(off.diagonal())))
         if diag_dev > DIAG_TOL:
             raise NotNormalized(f"diagonal deviates from 1 by {diag_dev:.3e}")
-        d = a.shape[0]
-        mags = np.abs(a - np.eye(d))
-        if np.any(mags >= 1.0):
-            i, j = np.unravel_index(np.argmax(np.triu(mags)), mags.shape)
+        if np.any(np.abs(off) >= 1.0):
+            mags = np.triu(np.abs(off))
+            i, j = np.unravel_index(np.argmax(mags), mags.shape)
             raise NotPositiveDefinite(
                 f"an off-diagonal overlap has magnitude >= 1: |O_ij| = {mags[i, j]:.6g} at ({i + 1}, {j + 1})"
             )
@@ -69,8 +66,9 @@ class GramMatrix:
         # times that, a factor proves that eigh would put lambda_min above
         # the floor; without one the spectrum decides.
         sigma = linalg.LAMBDA_FLOOR + 4.0 * (d + 1) * d * np.finfo(float).eps / 2
+        np.fill_diagonal(off, a.diagonal() - sigma)
         try:
-            np.linalg.cholesky(a - sigma * np.eye(d))
+            np.linalg.cholesky(off)
         except np.linalg.LinAlgError:
             linalg._check_floor(self.eigen)
 
@@ -139,12 +137,14 @@ def gram_from_vectors(basis) -> GramMatrix:
     """Overlap matrix O_ij = <c_i|c_j> of unit-norm column vectors.
 
     Accepts a BasisSet or a plain (ambient_dim x d) array of columns.
-    Raises NotNormalized for non-unit columns and LinearlyDependent when
-    the columns are numerically dependent.
+    Raises ValueError for non-finite entries, NotNormalized for non-unit
+    columns and LinearlyDependent when the columns are numerically dependent.
     """
     cols = np.asarray(getattr(basis, "vectors", basis), dtype=complex)
     if cols.ndim != 2:
         raise ValueError(f"expected a 2-d array of column vectors, got shape {cols.shape}")
+    if not np.isfinite(cols).all():
+        raise ValueError("basis vectors contain non-finite entries")
     norms = np.linalg.norm(cols, axis=0)
     worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
     if worst > UNIT_NORM_TOL:

@@ -1,8 +1,8 @@
 """Dense complex Hermitian linear algebra.
 
 Thin layer over LAPACK (via numpy): eigendecomposition, the +-1/2 matrix
-powers and the eigenvalue-floor check that words rejections. GramMatrix,
-not this module, validates overlap matrices. All functions are pure.
+powers, the eigenvalue-floor check that words rejections, and the one gate
+every Hermitian input passes, Gram and density matrices alike. All pure.
 """
 
 from __future__ import annotations
@@ -18,20 +18,6 @@ from .errors import ConvergenceFailure, NotHermitian, NotPositiveDefinite
 LAMBDA_FLOOR = 1e-12
 
 
-def _as_square_complex(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    return a
-
-
-def hermiticity_tolerance(m: np.ndarray) -> float:
-    """Absolute tolerance used when deciding whether m is Hermitian."""
-    return 1e-10 * max(1.0, float(np.linalg.norm(m, "fro")))
-
-
 @dataclass(frozen=True)
 class HermitianEigenDecomposition:
     """Eigendecomposition m = U diag(eigenvalues) U+ with eigenvalues ascending."""
@@ -44,25 +30,34 @@ class HermitianEigenDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def _hermitian_part(m: np.ndarray, error=NotHermitian, what: str = "matrix") -> np.ndarray:
-    """Raise error if m deviates from Hermiticity beyond tolerance, else
-    return its Hermitian part, so roundoff-level asymmetry cannot leak on."""
+def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
+    """The Hermitian gate: ValueError unless m is square, non-empty and finite;
+    error if max |m_ij - conj(m_ji)| exceeds 1e-10 max(1, ||m||_F). Returns
+    m's complex Hermitian part, so roundoff-level asymmetry cannot leak on."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} contains non-finite entries")
     with np.errstate(over="ignore"):
-        tol = hermiticity_tolerance(m)
-    huge = math.isinf(tol)
-    if huge:
+        tol = 1e-10 * max(1.0, float(np.linalg.norm(a, "fro")))
+    if math.isinf(tol):
         # ||m||_F overflows only above about 2**512, and m - m+ may overflow too,
         # so an asymmetry would pass as inf > inf. Measure m * 2**-600
         # instead: exact, bar entries far below the tolerance.
-        s = m * 2.0**-600
+        s = a * 2.0**-600
         tol = 1e-10 * float(np.linalg.norm(s, "fro")) * 2.0**600
         dev = float(np.max(np.abs(s - _ct(s)))) * 2.0**600
+        # Halving first keeps the Hermitian part of a huge m finite.
+        part = 0.5 * a + 0.5 * _ct(a)
     else:
-        dev = float(np.max(np.abs(m - m.conj().T)))
+        at = a.conj().T
+        dev = float(np.max(np.abs(a - at)))
+        part = a + at
+        part *= 0.5
     if dev > tol:
         raise error(f"{what} asymmetry {dev:.3e} exceeds {tol:.3e}")
-    # Halving first keeps the Hermitian part of a huge m finite.
-    return 0.5 * m + 0.5 * _ct(m) if huge else 0.5 * (m + m.conj().T)
+    return part
 
 
 def _check_floor(eig: HermitianEigenDecomposition) -> float:
@@ -99,7 +94,7 @@ def hermitian_eig(m) -> HermitianEigenDecomposition:
     The returned eigenvalues are sorted ascending and the eigenvector
     matrix is unitary.
     """
-    sym = _hermitian_part(_as_square_complex(m))
+    sym = _hermitian_part(m)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:

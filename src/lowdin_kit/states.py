@@ -48,10 +48,8 @@ def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
     return a, norm2
 
 
-def _unit_trace_psd(m: np.ndarray, what: str) -> np.ndarray:
-    """Hermitian part of a finite m after checking Tr m = 1 and m >= 0."""
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} contains non-finite entries")
+def _unit_trace_psd(m, what: str) -> np.ndarray:
+    """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0."""
     m = _hermitian_part(m, InvalidParameters, what)
     tr = float(np.real(np.trace(m)))
     if abs(tr - 1.0) > _TRACE_TOL:
@@ -114,7 +112,7 @@ class LowdinTransformedState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _unit_trace_psd(np.asarray(self.matrix, dtype=complex), "transformed state")
+        m = _unit_trace_psd(self.matrix, "transformed state")
         _frozen_array(self, "matrix", m)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -15,6 +16,7 @@ from lowdin_kit import (DensityOperator, LowdinKitError, OverlapSpec, gram_from_
                         measure_report, normalize_pure, weights_density, weights_pure)
 from lowdin_kit import cli
 from lowdin_kit.cli import AnalysisReport, main, parse_sweep_spec, run_sweep
+from lowdin_kit.fileformats import parse_state
 
 SQRT3_2 = 0.8660254037844386
 
@@ -786,6 +788,10 @@ class TestInputErrors:
         ([1], "basis: expected a JSON object"),
         ({"ambient_dim": 2, "vectors": [[[1.0, 0.0]], PLANE[1]]},
          "basis.vectors[0]: length 1 != ambient_dim 2"),
+        ({"ambient_dim": 2, "vectors": [[[1.0, 0.0], [float("nan"), 0.0]], PLANE[1]]},
+         "basis vectors contain non-finite entries"),
+        ({"ambient_dim": 2, "vectors": [[[1.0, 0.0], [0.0, float("inf")]], PLANE[1]]},
+         "basis vectors contain non-finite entries"),
     ])
     def test_basis_rejected(self, capsys, tmp_path, basis, message):
         path = write_json(tmp_path / "basis.json", basis)
@@ -803,6 +809,19 @@ class TestInputErrors:
                           {"gram": {"dim": 1000000, "overlaps": []}, field: entries})
         assert run_cli(capsys, ["weights", "--state", path]) == (
             2, "", f"error: ValueError: {message}\n")
+
+    def test_parse_state_peak_memory(self):
+        # A 16 KB file names a 500 x 500 Gram. At its peak parse_state holds
+        # four complex d x d arrays: the assembled O, its Hermitian part, the
+        # Cholesky operand O - sigma I and its factor.
+        d = 500
+        tracemalloc.start()
+        try:
+            parse_state({"gram": {"dim": d, "overlaps": []}, "pure": [[1, 0]] * d})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.25 * 16 * d * d
 
     def test_deep_nesting_in_file(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -859,6 +878,14 @@ class TestPaperCheck:
         pass_rows = [ln for ln in lines if ln.endswith("PASS")]
         assert len(pass_rows) >= 15
         assert not any(ln.endswith("FAIL") for ln in lines)
+
+    def test_console_script_entry_point(self, capsys, monkeypatch):
+        # [project.scripts] lowdin-kit = "lowdin_kit.cli:entrypoint"
+        monkeypatch.setattr(sys, "argv", ["lowdin-kit", "paper-check"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.entrypoint()
+        assert exit_info.value.code == 0
+        assert "passed, 0 failed" in capsys.readouterr().out
 
     def test_module_entry_point(self):
         proc = subprocess.run(

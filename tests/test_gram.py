@@ -21,6 +21,7 @@ from lowdin_kit import (
     matrix_function,
     random_gram,
 )
+from lowdin_kit.gram import DIAG_TOL
 from lowdin_kit.linalg import LAMBDA_FLOOR
 
 S_PHI = (1.0 + np.sqrt(2.0)) / np.sqrt(6.0)
@@ -54,6 +55,15 @@ class TestGramFromVectors:
     def test_rejects_dependent_columns(self):
         with pytest.raises(LinearlyDependent):
             gram_from_vectors(np.column_stack([np.array([1.0, 0.0]), np.array([1.0, 0.0])]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+    def test_rejects_non_finite_columns(self, bad):
+        # Checked before the column norms, which a NaN passes (nan > tol is
+        # False) and an inf turns into a deviation of inf.
+        cols = np.array([[1.0, 0.0], [bad, 1.0]])
+        for build in (gram_from_vectors, BasisSet):
+            with pytest.raises(ValueError, match="^basis vectors contain non-finite entries$"):
+                build(cols)
 
     def test_conjugation_convention(self):
         # O_12 = <c_1|c_2> = c_1+ c_2, conjugate-linear in the first slot
@@ -162,6 +172,32 @@ class TestMatrixInvariants:
         with pytest.raises(LinearlyDependent, match=r"^smallest eigenvalue .* is at or below 1e-12 "
                            r"\(largest eigenvalue 2\.000e\+00, dimension 4\)$"):
             gram_from_vectors(cols)
+
+    @pytest.mark.parametrize("m", [np.zeros((0, 0)), np.ones((1, 1)), np.full((1, 1), np.nan)])
+    def test_rejects_dimension_below_two(self, m):
+        # Worded before the gate's finiteness check.
+        with pytest.raises(ValueError, match="^overlap matrix needs dimension >= 2$"):
+            GramMatrix(m)
+
+    def test_cholesky_operand_is_o_minus_sigma_i(self, monkeypatch):
+        # The operand is built in the O - I buffer; it must be O - sigma I bit
+        # for bit, signed zeros included, or accept/reject decisions could move.
+        operands = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: operands.append(a.copy()) or cholesky(a))
+        rng = np.random.default_rng(14)
+        for d in (2, 3, 8, 33):
+            for cplx in (False, True):
+                o = np.triu(rng.uniform(-0.3, 0.3, (d, d)) / np.sqrt(d), 1)
+                if cplx:
+                    o = o + 1j * np.triu(rng.uniform(-0.3, 0.3, (d, d)) / np.sqrt(d), 1)
+                o = o + o.conj().T + np.diag(1.0 + rng.uniform(-DIAG_TOL, DIAG_TOL, d))
+                o[0, -1] = o[-1, 0] = -0.0
+                g = GramMatrix(o)
+                sigma = LAMBDA_FLOOR + 4.0 * (d + 1) * d * np.finfo(float).eps / 2
+                expected = g.matrix - sigma * np.eye(d)
+                assert operands.pop().tobytes() == expected.tobytes()
+                assert np.signbit(expected[0, -1].real)
 
     def test_immutable(self):
         g = overlap2(0.5)

@@ -1,8 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import corpus_rng, random_unitary
 from lowdin_kit import (
+    DensityOperator,
+    GramMatrix,
+    InvalidParameters,
     NotHermitian,
     NotPositiveDefinite,
     condition_number,
@@ -10,8 +15,18 @@ from lowdin_kit import (
     hermitian_eig,
     matrix_function,
 )
+from lowdin_kit.states import LowdinTransformedState
 
 EPS = np.finfo(float).eps
+
+# Every Hermitian input passes one gate, linalg._hermitian_part. Each entry
+# point names its own matrix and raises its own error for an asymmetry.
+GATED = [
+    (hermitian_eig, "matrix", NotHermitian),
+    (GramMatrix, "overlap matrix", NotHermitian),
+    (lambda m: DensityOperator(GramMatrix(np.eye(2)), m), "coefficient matrix", InvalidParameters),
+    (LowdinTransformedState, "transformed state", InvalidParameters),
+]
 
 
 def two_level_overlap(s):
@@ -54,8 +69,10 @@ class TestHermitianEig:
         assert np.allclose(hermitian_eig(m).eigenvalues, [1.0, 3.0], atol=1e-14)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[1.0, 0.2], [0.3, 1.0]]))
+        # ||m||_F = sqrt(2.13), so the tolerance is 1.459e-10.
+        for build, what, error in GATED:
+            with pytest.raises(error, match=f"^{what} asymmetry 1.000e-01 exceeds 1.459e-10$"):
+                build(np.array([[1.0, 0.2], [0.3, 1.0]]))
 
     @pytest.mark.parametrize("m", [
         [[1.0, 1e308], [-1e308, 1.0]],
@@ -75,12 +92,19 @@ class TestHermitianEig:
         assert np.isfinite(eig.eigenvectors).all()
 
     def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.ones((2, 3)))
+        # GramMatrix words 0x0 and 1x1 input itself (test_gram.py).
+        for shape in [(2, 3), (3,), (0, 0), (1, 0), (2, 2, 2)]:
+            for build in (hermitian_eig, LowdinTransformedState, GramMatrix):
+                if build is GramMatrix and shape == (0, 0):
+                    continue
+                with pytest.raises(ValueError, match=re.escape(f"expected a square matrix, got shape {shape}")):
+                    build(np.ones(shape))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            for build, what, _ in GATED:
+                with pytest.raises(ValueError, match=f"^{what} contains non-finite entries$"):
+                    build(np.array([[0.5, bad], [np.conj(bad), 0.5]]))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 13])
     def test_reconstruction_residual_bound(self, d):
