@@ -294,7 +294,6 @@ def _sweep_table(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
             rho[:, 0, 0], rho[:, 1, 1] = col["p"], 1.0 - col["p"]
             rho[:, 0, 1] = rho[:, 1, 0] = col["q"]
             ok &= np.linalg.eigh(rho)[0][:, 0] >= -_PSD_TOL
-            ok &= np.real(np.trace(o @ rho, axis1=1, axis2=2)) > 0.0
             m = half @ rho @ half
             tr = np.real(np.trace(m, axis1=1, axis2=2))
             ok &= tr > _MIN_TRACE

@@ -119,16 +119,19 @@ def _is_number(x) -> bool:
 
 
 def parse_number(x, what: str) -> float:
-    """A JSON number as a float; ValueError for anything else."""
+    """A JSON number as a float; ValueError for anything else, and for an overflowing integer."""
     if not _is_number(x):
         raise ValueError(f"{what}: expected a number, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what}: integer too large for a float") from None
 
 
 def _as_pair(item, what: str) -> complex:
     if not isinstance(item, (list, tuple)) or len(item) != 2 or not all(map(_is_number, item)):
         raise ValueError(f"{what}: expected a [re, im] number pair, got {item!r}")
-    return complex(float(item[0]), float(item[1]))
+    return complex(parse_number(item[0], what), parse_number(item[1], what))
 
 
 def _pairs(a) -> list:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Number
 
 import numpy as np
 
@@ -110,8 +111,9 @@ def _check_dim(dim) -> None:
 class OverlapSpec:
     """Compact pairwise description of an overlap matrix.
 
-    Pairs use 1-based indices (i, j) with i < j, matching the file
-    format; unspecified pairs default to zero overlap.
+    Pairs are (i, j, value) with 1-based integer indices i < j, matching
+    the file format, and a number (not a bool) as the value; unspecified
+    pairs default to zero overlap.
     """
 
     dim: int
@@ -120,8 +122,12 @@ class OverlapSpec:
     def __post_init__(self):
         _check_dim(self.dim)
         for pair in self.pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 3:
+                raise ValueError(f"overlap pair {pair!r} must be (i, j, value)")
             if not all(_is_integer(k) for k in pair[:2]):
                 raise ValueError(f"overlap pair {pair!r} needs integer indices")
+            if not isinstance(pair[2], Number) or isinstance(pair[2], bool):
+                raise ValueError(f"overlap pair {pair!r} needs a numeric value")
         pairs = tuple((int(i), int(j), complex(v)) for i, j, v in self.pairs)
         seen = set()
         for i, j, v in pairs:

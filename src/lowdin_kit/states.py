@@ -51,7 +51,8 @@ def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
 def _unit_trace_psd(m, what: str) -> np.ndarray:
     """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0."""
     m = _hermitian_part(m, InvalidParameters, what)
-    tr = float(np.real(np.trace(m)))
+    with np.errstate(over="ignore"):  # an overflowing trace is refused as inf
+        tr = float(np.real(np.trace(m)))
     if abs(tr - 1.0) > _TRACE_TOL:
         raise InvalidParameters(f"{what} trace {tr!r} is not 1 within {_TRACE_TOL}")
     lam_min = float(hermitian_eig(m).eigenvalues[0])
@@ -82,7 +83,8 @@ class PureState:
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Hermitian PSD coefficient matrix rho with Tr(rho) = 1 over a
-    non-orthogonal basis."""
+    non-orthogonal basis. Its rho_L is formed once, when it is built:
+    DegenerateTrace if Tr(O^{1/2} rho O^{1/2}) <= 1e-12."""
 
     gram: GramMatrix
     coeffs: np.ndarray
@@ -93,10 +95,8 @@ class DensityOperator:
         if rho.shape != (d, d):
             raise ValueError(f"coefficient matrix shape {rho.shape} != ({d}, {d})")
         rho = _unit_trace_psd(rho, "coefficient matrix")
-        metric_tr = float(np.real(np.trace(self.gram.matrix @ rho)))
-        if metric_tr <= 0.0:
-            raise InvalidParameters(f"Tr(O rho) = {metric_tr!r} must be positive")
         _frozen_array(self, "coeffs", rho)
+        _frozen_array(self, "_rho_lowdin", _lowdin_transform(self.gram, rho))
 
     @property
     def dim(self) -> int:
@@ -170,15 +170,15 @@ def _lowdin_transform(gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
 
 
 def lowdin_density(op: DensityOperator) -> LowdinTransformedState:
-    """rho_L = O^{1/2} rho O^{1/2} / Tr(O^{1/2} rho O^{1/2})."""
-    return _derived(LowdinTransformedState, matrix=_lowdin_transform(op.gram, op.coeffs))
+    """rho_L = O^{1/2} rho O^{1/2} / Tr(O^{1/2} rho O^{1/2}), formed when op was built."""
+    return _derived(LowdinTransformedState, matrix=op._rho_lowdin)
 
 
 def weights_density(op: DensityOperator) -> WeightDistribution:
-    """Diagonal of rho_L; coincides with weights_pure on rank-1 projectors.
+    """Diagonal of op's stored rho_L; coincides with weights_pure on rank-1 projectors.
     rho's PSD tolerance can leave a weight slightly below 0; it is clipped,
     and the weight-sum check bounds how much may be clipped."""
-    w = np.real(np.diag(_lowdin_transform(op.gram, op.coeffs)))
+    w = np.real(np.diag(op._rho_lowdin))
     return WeightDistribution(np.clip(w, 0.0, None))
 
 
@@ -220,7 +220,7 @@ def offdiagonal_decomposition(op: DensityOperator) -> tuple[np.ndarray, np.ndarr
     diag = np.diag(np.diag(op.coeffs))
     diag = diag / np.real(np.trace(diag))
     artifact = _offdiag(_lowdin_transform(op.gram, diag))
-    genuine = _offdiag(_lowdin_transform(op.gram, op.coeffs)) - artifact
+    genuine = _offdiag(op._rho_lowdin) - artifact
     return artifact, genuine
 
 

@@ -250,6 +250,20 @@ class TestWeights:
         assert code == 3
         assert "InvalidParameters" in err
 
+    def test_negative_metric_trace_is_degenerate(self, capsys, tmp_path):
+        # rho is PSD within its tolerance, yet Tr(O rho) = 1 + 2qs is about
+        # -7e-11: the one trace rule refuses it, naming the normalizing trace.
+        s, q = 1 - 1e-11, -0.5 - 4e-11
+        state = write_json(
+            tmp_path / "rho.json",
+            {
+                "gram": {"dim": 2, "overlaps": [[1, 2, s, 0.0]]},
+                "rho": [[0.5, 0.0], [q, 0.0], [q, 0.0], [0.5, 0.0]],
+            },
+        )
+        assert run_cli(capsys, ["weights", "--state", state]) == (3, "", (
+            "error: DegenerateTrace: Tr(O rho) = -6.999999197775247e-11 is too small to normalize\n"))
+
     @pytest.mark.parametrize("name", ["weight", "congruence"])
     def test_accepted_edge_density_reports(self, capsys, tmp_path, name):
         # rho passes the -1e-10 PSD floor; its weights and rho_L are not
@@ -415,8 +429,8 @@ class TestSweep:
     def test_stacked_pass_never_accepts_what_the_library_rejects(self):
         # Steps at every boundary of the library's checks: the eigenvalue
         # floor of O, ||O - I||_F = 1 at |s| = 1/sqrt(2), a+ O a
-        # overflow, rho's PSD tolerance, Tr(O rho) <= 0 and the degenerate
-        # trace. A step the stacked pass proves valid must be valid, with the
+        # overflow, rho's PSD tolerance and the degenerate trace, which
+        # refuses Tr(O rho) <= 0 too. A step the stacked pass proves valid must be valid, with the
         # library's row to the bit.
         rng = np.random.default_rng(11)
         n = 1500
@@ -640,6 +654,33 @@ class TestInputNumbers:
         code, out, err = run_cli(capsys, ["weights", "--state", state])
         assert (code, out) == (2, "")
         assert err == f"error: ValueError: {message} non-finite entries\n"
+
+    BIG = 10**400  # written as a 401-digit JSON integer, beyond the largest float
+
+    @pytest.mark.parametrize("command, flag, obj, field", [
+        ("orthogonalize", "--basis",
+         {"ambient_dim": 2, "vectors": [[[1, 0], [0, 0]], [[0, 0], [BIG, 0]]]}, "basis.vectors[1]"),
+        ("weights", "--state",
+         {"gram": {"dim": 2, "matrix": [[1, 0], [0, BIG], [0, 0], [1, 0]]}, "pure": PURE}, "gram.matrix"),
+        ("weights", "--state",
+         {"gram": {"dim": 2, "overlaps": [[1, 2, -BIG, 0]]}, "pure": PURE}, "gram.overlaps"),
+        ("weights", "--state", {"gram": {"dim": 2, "overlaps": []}, "pure": [[1, 0], [BIG, 0]]},
+         "state.pure"),
+        ("weights", "--state",
+         {"gram": {"dim": 2, "overlaps": []}, "rho": [[BIG, 0], [0, 0], [0, 0], [0, 0]]}, "state.rho"),
+        ("sweep", "--spec", {"parameter": "s", "range": [0.1, BIG], "steps": 2, "fixed": {"gamma": 0.6}},
+         "sweep.range"),
+        ("sweep", "--spec", {"parameter": "s", "range": [0.1, 0.4], "steps": 2, "fixed": {"gamma": BIG}},
+         "sweep.fixed.gamma"),
+    ])
+    def test_integer_too_large_for_a_float(self, capsys, tmp_path, command, flag, obj, field):
+        # float() overflows on each; the command still ends with one error line and exit 2.
+        argv = [command, flag, write_json(tmp_path / "in.json", obj), "--out", str(tmp_path / "out")]
+        if command == "orthogonalize":
+            argv += ["--method", "lowdin-sym"]
+        assert run_cli(capsys, argv) == (
+            2, "", f"error: ValueError: {field}: integer too large for a float\n")
+        assert not (tmp_path / "out").exists()
 
     def test_overflowing_pure_norm_rejected(self, capsys, tmp_path):
         state = write_json(

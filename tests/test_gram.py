@@ -119,6 +119,26 @@ class TestGramFromOverlaps:
         with pytest.raises(ValueError, match=re.escape(f"overlap pair {pair!r} needs integer indices")):
             OverlapSpec(3, [pair])
 
+    @pytest.mark.parametrize("pair, problem", [
+        (5, "must be (i, j, value)"),
+        ((1, 2), "must be (i, j, value)"),
+        ((1, 2, 0.3, 9), "must be (i, j, value)"),
+        ("123", "must be (i, j, value)"),
+        ((1, 2, "0.3"), "needs a numeric value"),
+        ((1, 2, True), "needs a numeric value"),
+        ((1, 2, np.bool_(False)), "needs a numeric value"),
+        ((1, 2, None), "needs a numeric value"),
+        ((1, 2, [0.3]), "needs a numeric value"),
+    ])
+    def test_spec_rejects_malformed_pair(self, pair, problem):
+        # Each fault is named; a string or bool value is not a number, however it reads.
+        with pytest.raises(ValueError, match=re.escape(f"overlap pair {pair!r} {problem}")):
+            OverlapSpec(3, [pair])
+
+    def test_spec_accepts_any_numeric_value(self):
+        spec = OverlapSpec(3, [(1, 2, 0), [1, 3, np.float32(0.25)], (2, 3, 0.1j)])
+        assert spec.pairs == ((1, 2, 0j), (1, 3, 0.25 + 0j), (2, 3, 0.1j))
+
     @pytest.mark.parametrize("dim", [3.0, np.float64(3.0), True])
     def test_spec_rejects_non_integer_dim(self, dim):
         # A float dim used to pass here and fail later in gram_from_overlaps

@@ -27,6 +27,7 @@ from lowdin_kit import (
     weights_density,
     weights_pure,
 )
+from lowdin_kit import states
 from lowdin_kit.states import LowdinTransformedState, WeightDistribution, _lowdin_transform
 
 S_PHI = (1.0 + np.sqrt(2.0)) / np.sqrt(6.0)
@@ -411,6 +412,37 @@ class TestDensityOperatorValidation:
         with pytest.raises(InvalidParameters):
             DensityOperator(overlap2(0.2), np.array([[1.2, 0.0], [0.0, -0.2]]))
 
+    @pytest.mark.parametrize("q", [-0.5 - 4e-11, -0.5 - 5e-12])
+    def test_degenerate_trace_refused_when_built(self, q):
+        # rho is PSD within its tolerance, and Tr(O rho) = 1 + 2qs is about
+        # -7e-11 for the first q and 2e-18 for the second: one trace rule
+        # refuses both, before any derived call.
+        with pytest.raises(DegenerateTrace, match=r"^Tr\(O rho\) = \S+ is too small to normalize$"):
+            DensityOperator(overlap2(1 - 1e-11), np.array([[0.5, q], [q, 0.5]]))
+
+
+class TestRhoLowdinFormedOnce:
+    def test_one_congruence_of_rho_and_one_of_its_diagonal(self, monkeypatch):
+        calls = []
+
+        def counted(gram, rho):
+            calls.append(rho)
+            return _lowdin_transform(gram, rho)
+
+        monkeypatch.setattr(states, "_lowdin_transform", counted)
+        rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+        op = DensityOperator(overlap2(0.4), rho)
+        w = weights_density(op).weights
+        rho_l = lowdin_density(op).matrix
+        artifact, genuine = offdiagonal_decomposition(op)
+        assert len(calls) == 2
+        assert calls[0] is op.coeffs and np.array_equal(calls[1], np.diag([0.6, 0.4]) + 0j)
+        # Every derived result reads the one rho_L, bit for bit.
+        expected = _lowdin_transform(op.gram, op.coeffs)
+        assert np.array_equal(rho_l, expected)
+        assert np.array_equal(w, np.real(np.diag(expected)))
+        assert np.array_equal(genuine + artifact, expected - np.diag(np.diag(expected)))
+
 
 # An infinite coefficient also makes numpy warn while a+ O a is formed.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -454,6 +486,13 @@ class TestUnitTracePsdChecks:
     def test_same_checks_and_tolerances(self, kind, m, problem):
         with pytest.raises(InvalidParameters, match=f"^{kind} .*{problem}"):
             self._build(kind, np.array(m))
+
+    @pytest.mark.parametrize("kind", ["coefficient matrix", "transformed state"])
+    def test_overflowing_trace_refused_without_warning(self, kind):
+        # The diagonal's sum overflows; the suite turns a numpy RuntimeWarning into an error.
+        m = np.array([[1.5e308, 1e307j], [-1e307j, 1.5e308]])
+        with pytest.raises(InvalidParameters, match=f"^{kind} trace inf is not 1 within 1e-09$"):
+            self._build(kind, m)
 
     @pytest.mark.parametrize("kind", ["coefficient matrix", "transformed state"])
     def test_within_tolerance_accepted_and_hermitized(self, kind):
