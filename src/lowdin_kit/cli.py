@@ -72,14 +72,6 @@ class AnalysisReport:
     offdiagonal_genuine: list | None = None
     measures: dict | None = None
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "AnalysisReport":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"report: unknown fields {sorted(unknown)}")
-        return cls(**obj)
-
     def to_json(self) -> str:
         """Set fields in declaration order as indent-2 JSON, every float
         rounded once to 12 significant digits."""

@@ -4,7 +4,8 @@ A GramMatrix is Hermitian positive definite with unit diagonal. Past the
 gate every Hermitian input passes (linalg._hermitian_part) it checks the
 overlap rules, and one Cholesky factorization, with an eigendecomposition
 only where that fails, proves it positive definite. Its one eigendecomposition
-is computed only when something needs it, and the +-1/2 powers derive from it.
+is computed only when something needs it; the cached O^{1/2} and the
+O^{-1/2} of the symmetric Lowdin engine derive from it.
 The inner product convention is conjugate-linear in the first slot:
 ``O_ij = <c_i | c_j> = c_i+ c_j``.
 """
@@ -39,7 +40,7 @@ class GramMatrix:
     """Validated overlap matrix. Immutable. The one check of |O_ij| < 1, for
     dense and pairwise input alike; one Cholesky factorization proves it
     positive definite, and only where that fails does the spectrum decide.
-    It is diagonalized at most once, on first use of `eigen` or the powers."""
+    It is diagonalized at most once, on first use of `eigen` or `sqrt`."""
 
     matrix: np.ndarray
 
@@ -88,13 +89,6 @@ class GramMatrix:
         s.setflags(write=False)
         return s
 
-    @cached_property
-    def inv_sqrt(self) -> np.ndarray:
-        """O^{-1/2}, Hermitian, cached."""
-        s = linalg._half_power(self.eigen, -0.5)
-        s.setflags(write=False)
-        return s
-
 
 def _is_integer(k) -> bool:
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
@@ -112,8 +106,8 @@ class OverlapSpec:
     """Compact pairwise description of an overlap matrix.
 
     Pairs are (i, j, value) with 1-based integer indices i < j, matching
-    the file format, and a number (not a bool) as the value; unspecified
-    pairs default to zero overlap.
+    the file format, and a number (not a bool) within float range as the
+    value; unspecified pairs default to zero overlap.
     """
 
     dim: int
@@ -121,6 +115,7 @@ class OverlapSpec:
 
     def __post_init__(self):
         _check_dim(self.dim)
+        pairs = []
         for pair in self.pairs:
             if not isinstance(pair, (tuple, list)) or len(pair) != 3:
                 raise ValueError(f"overlap pair {pair!r} must be (i, j, value)")
@@ -128,7 +123,10 @@ class OverlapSpec:
                 raise ValueError(f"overlap pair {pair!r} needs integer indices")
             if not isinstance(pair[2], Number) or isinstance(pair[2], bool):
                 raise ValueError(f"overlap pair {pair!r} needs a numeric value")
-        pairs = tuple((int(i), int(j), complex(v)) for i, j, v in self.pairs)
+            try:
+                pairs.append((int(pair[0]), int(pair[1]), complex(pair[2])))
+            except OverflowError:
+                raise ValueError(f"overlap pair {pair!r} needs a value within float range") from None
         seen = set()
         for i, j, v in pairs:
             if not (1 <= i < j <= self.dim):
@@ -136,7 +134,7 @@ class OverlapSpec:
             if (i, j) in seen:
                 raise ValueError(f"duplicate overlap pair ({i}, {j})")
             seen.add((i, j))
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "pairs", tuple(pairs))
 
 
 def gram_from_vectors(basis) -> GramMatrix:

@@ -25,10 +25,6 @@ class HermitianEigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
 
 def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
     """The Hermitian gate: ValueError unless m is square, non-empty and finite;
@@ -103,29 +99,3 @@ def hermitian_eig(m) -> HermitianEigenDecomposition:
     eigenvectors.setflags(write=False)
     return HermitianEigenDecomposition(eigenvalues, eigenvectors)
 
-
-def matrix_function(m, exponent: float) -> np.ndarray:
-    """Hermitian matrix power m**exponent for exponent in {1/2, -1/2}.
-
-    The input must be positive definite: any eigenvalue at or below
-    LAMBDA_FLOOR raises NotPositiveDefinite.
-    """
-    if exponent not in (0.5, -0.5):
-        raise ValueError(f"exponent must be +-1/2, got {exponent!r}")
-    eig = hermitian_eig(m)
-    _check_floor(eig)
-    return _half_power(eig, exponent)
-
-
-def frobenius_norm(m) -> float:
-    """sqrt(sum |m_ij|^2)."""
-    a = np.asarray(m, dtype=complex)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    return float(np.linalg.norm(a, "fro"))
-
-
-def condition_number(m) -> float:
-    """lambda_max / lambda_min of a Hermitian positive-definite matrix."""
-    eig = hermitian_eig(m)
-    return float(eig.eigenvalues[-1]) / _check_floor(eig)

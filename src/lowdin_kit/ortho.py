@@ -22,6 +22,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
+from .linalg import _half_power
 from .states import PureState, _derived, _frozen_array
 
 _ORTHONORMALITY_TOL = 1e-8
@@ -170,9 +171,10 @@ def lowdin_symmetric(basis: BasisSet) -> OrthoResult:
 
     Among all orthonormal frames this one minimizes the total Frobenius
     distortion from the input; it is order-independent and preserves any
-    permutation symmetry of the overlap matrix.
+    permutation symmetry of the overlap matrix. O^{-1/2} comes from the
+    Gram's one eigendecomposition and is not cached.
     """
-    return _result(basis, basis.gram.inv_sqrt, OrthoMethod.LOWDIN_SYMMETRIC)
+    return _result(basis, _half_power(basis.gram.eigen, -0.5), OrthoMethod.LOWDIN_SYMMETRIC)
 
 
 def lowdin_canonical(basis: BasisSet) -> OrthoResult:

@@ -196,7 +196,7 @@ def closed_form_2d_weights(p: float, q: float, s: float) -> WeightDistribution:
         raise InvalidParameters(f"p = {p} outside [0, 1]")
     if not (-1.0 < s < 1.0):
         raise InvalidParameters(f"s = {s} outside (-1, 1)")
-    if q * q > p * (1.0 - p) + 1e-15:
+    if not (q * q <= p * (1.0 - p) + 1e-15):  # NaN fails too
         raise InvalidParameters(f"rho(p={p}, q={q}) is not positive semi-definite")
     denom = 2.0 + 4.0 * q * s
     if denom <= 0.0:

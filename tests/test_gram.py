@@ -18,11 +18,11 @@ from lowdin_kit import (
     gram_schmidt,
     hermitian_eig,
     induce_nonorthogonal,
-    matrix_function,
+    lowdin_symmetric,
     random_gram,
 )
 from lowdin_kit.gram import DIAG_TOL
-from lowdin_kit.linalg import LAMBDA_FLOOR
+from lowdin_kit.linalg import LAMBDA_FLOOR, _half_power
 
 S_PHI = (1.0 + np.sqrt(2.0)) / np.sqrt(6.0)
 
@@ -129,6 +129,7 @@ class TestGramFromOverlaps:
         ((1, 2, np.bool_(False)), "needs a numeric value"),
         ((1, 2, None), "needs a numeric value"),
         ((1, 2, [0.3]), "needs a numeric value"),
+        ((1, 2, 10**400), "needs a value within float range"),
     ])
     def test_spec_rejects_malformed_pair(self, pair, problem):
         # Each fault is named; a string or bool value is not a number, however it reads.
@@ -268,7 +269,7 @@ class TestPowers:
     def test_identity_powers(self):
         g = gram_from_overlaps(OverlapSpec(3))
         assert np.array_equal(g.sqrt, np.eye(3))
-        assert np.array_equal(g.inv_sqrt, np.eye(3))
+        assert np.array_equal(_half_power(g.eigen, -0.5), np.eye(3))
 
     def test_sqrt_closed_form_s04(self):
         # frozen closed form (sqrt(1.4) +- sqrt(0.6))/2
@@ -286,23 +287,24 @@ class TestPowers:
         rng = corpus_rng(11)
         for dim in (2, 4):
             g = random_gram_from(rng, dim)
-            assert np.linalg.norm(g.inv_sqrt @ g.sqrt - np.eye(dim)) <= 1e-8
+            assert np.linalg.norm(_half_power(g.eigen, -0.5) @ g.sqrt - np.eye(dim)) <= 1e-8
 
-    def test_powers_bit_identical_to_matrix_function(self):
+    def test_powers_bit_identical_to_half_power(self):
         # Covers both near-identity random Grams and raw overlaps of basis
         # columns; either way the eigendecomposition is deferred to first use.
+        # O^{1/2} is cached on the Gram; O^{-1/2} is the symmetric engine's T.
         rng = corpus_rng(12)
         for dim in (2, 3, 5, 8):
             c = random_basis(rng, dim, ambient=dim + 2, overlap_range=(-0.5, 0.5)).vectors
-            for overlap in (random_gram_from(rng, dim).matrix, c.conj().T @ c):
-                g = GramMatrix(overlap)
-                assert np.array_equal(g.sqrt, matrix_function(overlap, 0.5))
-                assert np.array_equal(g.inv_sqrt, matrix_function(overlap, -0.5))
+            g = random_gram_from(rng, dim)
+            for overlap, basis in ((g.matrix, induce_nonorthogonal(g)), (c.conj().T @ c, BasisSet(c))):
+                eig = hermitian_eig(overlap)
+                assert np.array_equal(GramMatrix(overlap).sqrt, _half_power(eig, 0.5))
+                assert np.array_equal(lowdin_symmetric(basis).transform, _half_power(eig, -0.5))
 
     def test_powers_are_cached(self):
         g = overlap2(0.5)
         assert g.sqrt is g.sqrt
-        assert g.inv_sqrt is g.inv_sqrt
         assert g.eigen is g.eigen
 
 

@@ -10,11 +10,9 @@ from lowdin_kit import (
     InvalidParameters,
     NotHermitian,
     NotPositiveDefinite,
-    condition_number,
-    frobenius_norm,
     hermitian_eig,
-    matrix_function,
 )
+from lowdin_kit.linalg import _check_floor, _half_power
 from lowdin_kit.states import LowdinTransformedState
 
 EPS = np.finfo(float).eps
@@ -46,6 +44,18 @@ def random_pd(rng, d, lam_min, lam_max):
     return (u * lam) @ u.conj().T
 
 
+def half_power(m, exponent):
+    """m**exponent for exponent +-1/2, by the route GramMatrix.sqrt and the
+    symmetric Lowdin engine take."""
+    return _half_power(hermitian_eig(m), exponent)
+
+
+def kappa(m):
+    """lambda_max / lambda_min from a Gram matrix's one eigendecomposition."""
+    lam = GramMatrix(m).eigen.eigenvalues
+    return lam[-1] / lam[0]
+
+
 class TestHermitianEig:
     def test_two_level_overlap_spectrum(self):
         eig = hermitian_eig(two_level_overlap(0.5))
@@ -61,7 +71,7 @@ class TestHermitianEig:
         assert np.allclose(eig.eigenvalues, 1.0)
         u = eig.eigenvectors
         assert np.allclose(u.conj().T @ u, np.eye(3), atol=1e-14)
-        assert np.allclose(eig.reconstruct(), np.eye(3), atol=1e-14)
+        assert np.allclose((u * eig.eigenvalues) @ u.conj().T, np.eye(3), atol=1e-14)
 
     def test_complex_offdiagonal(self):
         # characteristic polynomial l^2 - 4l + 3 = 0 -> l in {1, 3}
@@ -113,8 +123,8 @@ class TestHermitianEig:
             m = random_hermitian(rng, d)
             eig = hermitian_eig(m)
             norm = np.linalg.norm(m)
-            assert np.linalg.norm(eig.reconstruct() - m) <= 10 * d * EPS * norm
             u = eig.eigenvectors
+            assert np.linalg.norm((u * eig.eigenvalues) @ u.conj().T - m) <= 10 * d * EPS * norm
             assert np.linalg.norm(u.conj().T @ u - np.eye(d)) <= 10 * d * EPS
             assert np.all(np.diff(eig.eigenvalues) >= 0)
 
@@ -125,8 +135,10 @@ class TestHermitianEig:
 
 
 class TestMatrixFunction:
+    """The Hermitian matrix functions m**(+-1/2) of positive-definite m."""
+
     def test_sqrt_half_overlap(self):
-        got = matrix_function(two_level_overlap(0.5), 0.5)
+        got = half_power(two_level_overlap(0.5), 0.5)
         assert np.allclose(got.real, [[0.966, 0.259], [0.259, 0.966]], atol=1e-3)
         # closed form (sqrt(l2) +- sqrt(l1))/2 as the independent route
         hp = 0.5 * (np.sqrt(1.5) + np.sqrt(0.5))
@@ -135,10 +147,10 @@ class TestMatrixFunction:
 
     def test_identity_both_exponents(self):
         for expo in (0.5, -0.5):
-            assert np.array_equal(matrix_function(np.eye(4), expo), np.eye(4))
+            assert np.array_equal(half_power(np.eye(4), expo), np.eye(4))
 
     def test_inv_sqrt_half_overlap(self):
-        got = matrix_function(two_level_overlap(0.5), -0.5)
+        got = half_power(two_level_overlap(0.5), -0.5)
         # frozen from the closed form (1/sqrt(l2) +- 1/sqrt(l1))/2
         assert np.allclose(
             got.real,
@@ -147,19 +159,15 @@ class TestMatrixFunction:
             atol=1e-12,
         )
 
-    def test_rejects_other_exponents(self):
-        with pytest.raises(ValueError):
-            matrix_function(np.eye(2), 2.0)
-
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefinite):
-            matrix_function(np.array([[1.0, 1.0], [1.0, 1.0]]), 0.5)
+            _check_floor(hermitian_eig(np.array([[1.0, 1.0], [1.0, 1.0]])))
 
     def test_result_is_hermitian(self):
         rng = corpus_rng(101)
         m = random_pd(rng, 6, 1e-3, 1.0)
         for expo in (0.5, -0.5):
-            r = matrix_function(m, expo)
+            r = half_power(m, expo)
             assert np.array_equal(r, r.conj().T)
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
@@ -167,7 +175,7 @@ class TestMatrixFunction:
         rng = corpus_rng(200 + d)
         for _ in range(5):
             m = random_pd(rng, d, 1e-6, 1.0)  # condition number 1e6
-            root = matrix_function(m, 0.5)
+            root = half_power(m, 0.5)
             assert np.linalg.norm(root @ root - m) <= 1e-10
 
     @pytest.mark.parametrize("d", [2, 5, 10])
@@ -175,41 +183,49 @@ class TestMatrixFunction:
         rng = corpus_rng(300 + d)
         for _ in range(5):
             m = random_pd(rng, d, 1e-6, 1.0)
-            prod = matrix_function(m, -0.5) @ matrix_function(m, 0.5)
+            prod = half_power(m, -0.5) @ half_power(m, 0.5)
             assert np.linalg.norm(prod - np.eye(d)) <= 1e-8
 
 
 class TestFrobeniusNorm:
+    """||m||_F sets the scale of the Hermitian gate's tolerance,
+    1e-10 max(1, ||m||_F), which its message quotes."""
+
+    @staticmethod
+    def tolerance(m) -> str:
+        with pytest.raises(NotHermitian) as info:
+            hermitian_eig(np.array(m))
+        return str(info.value).rsplit(" ", 1)[1]
+
     def test_zero(self):
-        assert frobenius_norm(np.zeros((3, 3))) == 0.0
+        # ||0||_F = 0 puts the tolerance at its floor, 1e-10.
+        assert np.array_equal(hermitian_eig(np.zeros((3, 3))).eigenvalues, np.zeros(3))
+        assert self.tolerance([[0.0, 2e-10], [0.0, 0.0]]) == "1.000e-10"
 
     def test_identity(self):
-        assert frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0), abs=1e-15)
+        m = np.eye(3)
+        m[0, 1] = 1e-9
+        assert self.tolerance(m) == f"{1e-10 * np.sqrt(3.0):.3e}"
 
     def test_hand_value(self):
         # sqrt(9 + 16) = 5
-        assert frobenius_norm(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0, abs=1e-15)
+        assert self.tolerance([[3.0, 4.0], [0.0, 0.0]]) == "5.000e-10"
 
     def test_complex_entries(self):
-        assert frobenius_norm(np.array([[3.0 + 4.0j]])) == pytest.approx(5.0, abs=1e-15)
-
-    def test_zero_iff_zero(self):
-        rng = corpus_rng(400)
-        m = rng.normal(size=(4, 4))
-        assert frobenius_norm(m) > 0
+        assert self.tolerance([[3.0 + 4.0j]]) == "5.000e-10"
 
 
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
+        assert kappa(np.eye(5)) == pytest.approx(1.0, abs=1e-14)
 
     def test_half_overlap(self):
-        assert condition_number(two_level_overlap(0.5)) == pytest.approx(3.0, abs=1e-12)
+        assert kappa(two_level_overlap(0.5)) == pytest.approx(3.0, abs=1e-12)
 
     def test_strong_overlap(self):
         # (1 + 0.9) / (1 - 0.9) = 19
-        assert condition_number(two_level_overlap(0.9)) == pytest.approx(19.0, rel=1e-10)
+        assert kappa(two_level_overlap(0.9)) == pytest.approx(19.0, rel=1e-10)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            condition_number(np.array([[1.0, 0.0], [0.0, -1.0]]))
+            _check_floor(hermitian_eig(np.array([[1.0, 0.0], [0.0, -1.0]])))

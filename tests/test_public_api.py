@@ -1,0 +1,81 @@
+import re
+from pathlib import Path
+
+import pytest
+
+import lowdin_kit
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The public API. A change to lowdin_kit.__all__ is a deliberate edit of this list.
+PUBLIC_NAMES = [
+    "BasisSet",
+    "ConvergenceFailure",
+    "DegenerateStep",
+    "DegenerateTrace",
+    "DensityOperator",
+    "DimensionMismatch",
+    "GenerationFailure",
+    "GramMatrix",
+    "HermitianEigenDecomposition",
+    "InvalidParameters",
+    "LinearlyDependent",
+    "LowdinKitError",
+    "LowdinTransformedState",
+    "MeasureReport",
+    "NotHermitian",
+    "NotNormalized",
+    "NotPositiveDefinite",
+    "OrthoMethod",
+    "OrthoResult",
+    "OverlapSpec",
+    "PureState",
+    "UnsupportedDimension",
+    "WeightDistribution",
+    "ZeroState",
+    "chirgwin_coulson_weights",
+    "closed_form_2d_weights",
+    "distortion",
+    "golden_state_3d",
+    "gram_from_overlaps",
+    "gram_from_vectors",
+    "gram_schmidt",
+    "hermitian_eig",
+    "induce_nonorthogonal",
+    "inverse_participation_ratio",
+    "lowdin_canonical",
+    "lowdin_coeffs",
+    "lowdin_density",
+    "lowdin_symmetric",
+    "maximally_coherent_image",
+    "measure_report",
+    "normalize_pure",
+    "offdiagonal_decomposition",
+    "participation_ratio",
+    "random_gram",
+    "shannon_entropy",
+    "weights_density",
+    "weights_pure",
+]
+
+
+def test_all_is_the_pinned_list():
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert lowdin_kit.__all__ == PUBLIC_NAMES
+
+
+def test_every_public_name_imports():
+    namespace = {}
+    exec("from lowdin_kit import *", namespace)
+    assert set(PUBLIC_NAMES) <= namespace.keys()
+
+
+def test_readme_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## Library quick start\n+```python\n(.*?)^```$", text, re.M | re.S)
+    assert block, "README has no python block under 'Library quick start'"
+    exec(compile(block.group(1), str(README), "exec"), {})
+    numbers = [float(x) for x in re.findall(r"\d+\.\d+(?:e[-+]?\d+)?", capsys.readouterr().out)]
+    # The block's comments promise weights ~ (0.66, 0.34) and an entropy ~ 0.925 bits.
+    assert numbers[:2] == pytest.approx([0.66, 0.34], abs=5e-3)
+    assert numbers[2:] == pytest.approx([0.925], abs=5e-4)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -323,6 +324,16 @@ class TestClosedForm2d:
             closed_form_2d_weights(1.2, 0.0, 0.0)
         with pytest.raises(InvalidParameters):
             closed_form_2d_weights(0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("p, q, s, message", [
+        (np.nan, 0.0, 0.3, "p = nan outside [0, 1]"),
+        (0.5, np.nan, 0.3, "rho(p=0.5, q=nan) is not positive semi-definite"),
+        (0.5, 0.0, np.nan, "s = nan outside (-1, 1)"),
+    ])
+    def test_rejects_nan_parameter(self, p, q, s, message):
+        # A NaN fails every comparison, so each check is written to fail on it.
+        with pytest.raises(InvalidParameters, match=f"^{re.escape(message)}$"):
+            closed_form_2d_weights(p, q, s)
 
 
 class TestOffdiagonalDecomposition:
