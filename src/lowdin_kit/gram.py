@@ -33,6 +33,7 @@ UNIT_NORM_TOL = 1e-10
 DIAG_TOL = 1e-9
 
 _RANDOM_GRAM_TRIES = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,10 +51,10 @@ class GramMatrix:
         a = linalg._hermitian_part(self.matrix, NotHermitian, "overlap matrix")
         d = a.shape[0]
         off = a - np.eye(d)  # O - I; later the Cholesky operand O - sigma I
-        diag_dev = float(np.max(np.abs(off.diagonal())))
+        diag_dev = float(np.abs(off.diagonal()).max())
         if diag_dev > DIAG_TOL:
             raise NotNormalized(f"diagonal deviates from 1 by {diag_dev:.3e}")
-        if np.any(np.abs(off) >= 1.0):
+        if np.abs(off).max() >= 1.0:
             mags = np.triu(np.abs(off))
             i, j = np.unravel_index(np.argmax(mags), mags.shape)
             raise NotPositiveDefinite(
@@ -67,7 +68,7 @@ class GramMatrix:
         # lambda_min errs by the same order. With sigma the floor plus four
         # times that, a factor proves that eigh would put lambda_min above
         # the floor; without one the spectrum decides.
-        sigma = linalg.LAMBDA_FLOOR + 4.0 * (d + 1) * d * np.finfo(float).eps / 2
+        sigma = linalg.LAMBDA_FLOOR + 4.0 * (d + 1) * d * _EPS / 2
         np.fill_diagonal(off, a.diagonal() - sigma)
         try:
             np.linalg.cholesky(off)

@@ -29,15 +29,23 @@ class HermitianEigenDecomposition:
 def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
     """The Hermitian gate: ValueError unless m is square, non-empty and finite;
     error if max |m_ij - conj(m_ji)| exceeds 1e-10 max(1, ||m||_F). Returns
-    m's complex Hermitian part, so roundoff-level asymmetry cannot leak on."""
+    m's complex Hermitian part, so roundoff-level asymmetry cannot leak on. A finite
+    ||m||_F^2 proves m finite; only a non-finite one makes the gate scan m's entries."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} contains non-finite entries")
+    x = a.ravel(order="K")
     with np.errstate(over="ignore"):
-        tol = 1e-10 * max(1.0, float(np.linalg.norm(a, "fro")))
-    if math.isinf(tol):
+        norm2 = float(x.real.dot(x.real) + x.imag.dot(x.imag))
+    if math.isfinite(norm2):
+        tol = 1e-10 * max(1.0, math.sqrt(norm2))
+        at = a.conj().T
+        dev = float(np.abs(a - at).max())
+        part = a + at
+        part *= 0.5
+    elif not np.isfinite(a).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    else:
         # ||m||_F overflows only above about 2**512, and m - m+ may overflow too,
         # so an asymmetry would pass as inf > inf. Measure m * 2**-600
         # instead: exact, bar entries far below the tolerance.
@@ -46,11 +54,6 @@ def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
         dev = float(np.max(np.abs(s - _ct(s)))) * 2.0**600
         # Halving first keeps the Hermitian part of a huge m finite.
         part = 0.5 * a + 0.5 * _ct(a)
-    else:
-        at = a.conj().T
-        dev = float(np.max(np.abs(a - at)))
-        part = a + at
-        part *= 0.5
     if dev > tol:
         raise error(f"{what} asymmetry {dev:.3e} exceeds {tol:.3e}")
     return part

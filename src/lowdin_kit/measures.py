@@ -13,9 +13,7 @@ _ZERO_CLAMP = 1e-15
 
 
 def _weights(w) -> np.ndarray:
-    if not isinstance(w, WeightDistribution):
-        w = WeightDistribution(np.asarray(w, dtype=float))
-    return w.weights
+    return (w if isinstance(w, WeightDistribution) else WeightDistribution(w)).weights
 
 
 @dataclass(frozen=True)
@@ -34,7 +32,7 @@ def shannon_entropy(w) -> float:
     """
     weights = _weights(w)
     nonzero = weights[weights > _ZERO_CLAMP]
-    return float(-np.sum(nonzero * np.log2(nonzero)))
+    return -float((nonzero * np.log2(nonzero)).sum())
 
 
 def participation_ratio(w) -> float:
@@ -45,7 +43,7 @@ def participation_ratio(w) -> float:
 def inverse_participation_ratio(w) -> float:
     """IPR = sum w_k^2; higher values mean stronger localization."""
     weights = _weights(w)
-    return float(np.sum(weights**2))
+    return float((weights**2).sum())
 
 
 def measure_report(w) -> MeasureReport:

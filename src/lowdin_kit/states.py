@@ -41,7 +41,8 @@ def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
     a = np.array(raw, dtype=complex).reshape(-1)
     if a.shape[0] != gram.dim:
         raise ValueError(f"coefficient length {a.shape[0]} != overlap dimension {gram.dim}")
-    norm2 = float(np.real(a.conj() @ gram.matrix @ a))
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf entry or a huge one is refused below
+        norm2 = float(a.conj().dot(gram.matrix).dot(a).real)
     if not math.isfinite(norm2):  # the entries are scanned only then, not on every valid state
         what = "contain non-finite entries" if not np.isfinite(a).all() else f"overflow a+Oa = {norm2!r}"
         raise ValueError(f"state coefficients {what}")
@@ -52,7 +53,7 @@ def _unit_trace_psd(m, what: str) -> np.ndarray:
     """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0."""
     m = _hermitian_part(m, InvalidParameters, what)
     with np.errstate(over="ignore"):  # an overflowing trace is refused as inf
-        tr = float(np.real(np.trace(m)))
+        tr = float(m.trace().real)
     if abs(tr - 1.0) > _TRACE_TOL:
         raise InvalidParameters(f"{what} trace {tr!r} is not 1 within {_TRACE_TOL}")
     lam_min = float(hermitian_eig(m).eigenvalues[0])
@@ -118,17 +119,19 @@ class LowdinTransformedState:
 
 @dataclass(frozen=True, eq=False)
 class WeightDistribution:
-    """Probability vector of Lowdin weights."""
+    """Probability vector of Lowdin weights, in its own copy. Its least and greatest
+    weights prove it finite (a NaN reaches both); weights in (-1e-12, 0] are stored as +0.0."""
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
-        if w.size == 0 or not np.all(np.isfinite(w)):
+        w = np.array(self.weights, dtype=float).reshape(-1)
+        lo, hi = (float(w.min()), float(w.max())) if w.size else (math.nan, math.nan)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weights must be a non-empty finite vector")
-        if np.any(w < -_NEGATIVE_WEIGHT_TOL):
-            raise ValueError(f"negative weight {float(w.min()):.3e}")
-        w = np.clip(w, 0.0, None)
+        if lo < -_NEGATIVE_WEIGHT_TOL:
+            raise ValueError(f"negative weight {lo:.3e}")
+        np.maximum(w, 0.0, out=w)
         total = float(w.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {_WEIGHT_SUM_TOL}")
@@ -143,18 +146,17 @@ def normalize_pure(gram: GramMatrix, raw) -> PureState:
     a, norm2 = _coefficient_vector(raw, gram)
     if norm2 <= _MIN_NORM2:
         raise ZeroState("raw coefficient vector has zero norm under the overlap metric")
-    return _derived(PureState, gram=gram, coeffs=a / np.sqrt(norm2))
+    return _derived(PureState, gram=gram, coeffs=a / math.sqrt(norm2))
 
 
 def lowdin_coeffs(state: PureState) -> np.ndarray:
     """Coefficients b = O^{1/2} a of the state in the orthonormal frame."""
-    return state.gram.sqrt @ state.coeffs
+    return state.gram.sqrt.dot(state.coeffs)
 
 
 def weights_pure(state: PureState) -> WeightDistribution:
     """Lowdin weights w_k = |[O^{1/2} a]_k|^2 of a pure state."""
-    b = lowdin_coeffs(state)
-    return WeightDistribution(np.abs(b) ** 2)
+    return WeightDistribution(np.abs(lowdin_coeffs(state)) ** 2)
 
 
 def _lowdin_transform(gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
@@ -162,10 +164,10 @@ def _lowdin_transform(gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
     is PSD, so the result needs no eigendecomposition to be trusted."""
     half = gram.sqrt
     m = half @ rho @ half
-    tr = float(np.real(np.trace(m)))
+    tr = float(m.trace().real)
     if tr <= _MIN_TRACE:
         raise DegenerateTrace(f"Tr(O rho) = {tr!r} is too small to normalize")
-    m = m / tr
+    m /= tr
     return 0.5 * (m + m.conj().T)
 
 
@@ -178,8 +180,7 @@ def weights_density(op: DensityOperator) -> WeightDistribution:
     """Diagonal of op's stored rho_L; coincides with weights_pure on rank-1 projectors.
     rho's PSD tolerance can leave a weight slightly below 0; it is clipped,
     and the weight-sum check bounds how much may be clipped."""
-    w = np.real(np.diag(op._rho_lowdin))
-    return WeightDistribution(np.clip(w, 0.0, None))
+    return WeightDistribution(np.maximum(op._rho_lowdin.diagonal().real, 0.0))
 
 
 def closed_form_2d_weights(p: float, q: float, s: float) -> WeightDistribution:
@@ -205,10 +206,6 @@ def closed_form_2d_weights(p: float, q: float, s: float) -> WeightDistribution:
     return WeightDistribution(np.array([w1, 1.0 - w1]))
 
 
-def _offdiag(m: np.ndarray) -> np.ndarray:
-    return m - np.diag(np.diag(m))
-
-
 def offdiagonal_decomposition(op: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
     """Split the off-diagonals of rho_L into overlap artifacts and genuine
     superposition content.
@@ -217,10 +214,11 @@ def offdiagonal_decomposition(op: DensityOperator) -> tuple[np.ndarray, np.ndarr
     rho alone produces in the Lowdin frame; the genuine part is the
     remainder.
     """
-    diag = np.diag(np.diag(op.coeffs))
-    diag = diag / np.real(np.trace(diag))
-    artifact = _offdiag(_lowdin_transform(op.gram, diag))
-    genuine = _offdiag(op._rho_lowdin) - artifact
+    p = op.coeffs.diagonal()
+    artifact = _lowdin_transform(op.gram, np.diag(p / p.sum().real))
+    np.fill_diagonal(artifact, 0.0)
+    genuine = op._rho_lowdin - artifact
+    np.fill_diagonal(genuine, 0.0)
     return artifact, genuine
 
 

@@ -116,6 +116,16 @@ class TestHermitianEig:
                 with pytest.raises(ValueError, match=f"^{what} contains non-finite entries$"):
                     build(np.array([[0.5, bad], [np.conj(bad), 0.5]]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_named_before_an_overflowing_asymmetry(self):
+        # The finite entries overflow ||m||_F and are far from Hermitian: the
+        # non-finite entry is still named first, and no numpy warning comes
+        # before the error.
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            for build, what, _ in GATED:
+                with pytest.raises(ValueError, match=f"^{what} contains non-finite entries$"):
+                    build(np.array([[1e300, bad], [np.conj(bad), -1e300]]))
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8, 13])
     def test_reconstruction_residual_bound(self, d):
         rng = corpus_rng(d)

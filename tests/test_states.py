@@ -69,11 +69,10 @@ class TestNormalizePure:
         with pytest.raises(ValueError):
             normalize_pure(identity_gram(), [1.0, 0.0, 0.0])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("raw", [[1e200, 0.0], [1.0, 1e200]])
     def test_overflowing_norm_rejected(self, raw):
         # Finite entries, but a+ O a overflows: dividing by it would give a
-        # zero vector that claims to be normalized.
+        # zero vector that claims to be normalized. No numpy warning comes first.
         with pytest.raises(ValueError, match="state coefficients overflow a\\+Oa = inf"):
             normalize_pure(overlap2(0.3), raw)
 
@@ -455,8 +454,7 @@ class TestRhoLowdinFormedOnce:
         assert np.array_equal(genuine + artifact, expected - np.diag(np.diag(expected)))
 
 
-# An infinite coefficient also makes numpy warn while a+ O a is formed.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# Each is refused by its own ValueError, with no numpy warning before it.
 class TestNonFiniteCoefficients:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_pure_state_rejects(self, bad):
@@ -525,6 +523,30 @@ class TestWeightDistributionType:
     def test_clamps_roundoff_negatives(self):
         w = WeightDistribution(np.array([1.0, -1e-14, 1e-14]))
         assert np.all(w.weights >= 0.0)
+
+    def test_leaves_callers_array_alone(self):
+        raw = np.array([1.0, -1e-14, 1e-14])
+        w = WeightDistribution(raw)
+        assert raw.flags.writeable and raw.tobytes() == np.array([1.0, -1e-14, 1e-14]).tobytes()
+        assert not np.shares_memory(w.weights, raw) and not w.weights.flags.writeable
+
+    def test_negative_zero_stored_as_positive_zero(self):
+        w = WeightDistribution(np.array([-0.0, 1.0]))
+        assert not np.signbit(w.weights).any()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("raw, message", [
+        ([], "weights must be a non-empty finite vector"),
+        ([np.nan, -1.0, 2.0], "weights must be a non-empty finite vector"),
+        ([-1.0, 2.0, np.nan], "weights must be a non-empty finite vector"),
+        ([-np.inf, 1.0], "weights must be a non-empty finite vector"),
+        ([np.inf, 0.0], "weights must be a non-empty finite vector"),
+        ([-0.2, 1.2], "negative weight -2.000e-01"),
+    ])
+    def test_first_fault_named_without_warning(self, raw, message):
+        # A non-finite weight is named before a negative one.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightDistribution(np.array(raw))
 
 
 class TestInvariants:
