@@ -279,8 +279,9 @@ def _sweep_table(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
             a = np.ones((n, 2), dtype=complex)
             a[:, 1] = col["gamma"]
             norm2 = np.real(a.conj()[:, None, :] @ o @ a[:, :, None])[:, 0, 0]
-            ok &= norm2 > _MIN_NORM2
+            ok &= (norm2 > _MIN_NORM2) & np.isfinite(norm2)
             w = np.abs(half @ (a / np.sqrt(norm2)[:, None])[:, :, None])[:, :, 0] ** 2
+            w /= w.sum(axis=1)[:, None]
         else:
             rho = np.zeros((n, 2, 2), dtype=complex)
             rho[:, 0, 0], rho[:, 1, 1] = col["p"], 1.0 - col["p"]
@@ -291,7 +292,7 @@ def _sweep_table(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
             ok &= tr > _MIN_TRACE
             m = m / tr[:, None, None]
             w = np.clip(np.real(np.diagonal(0.5 * (m + _ct(m)), axis1=1, axis2=2)), 0.0, None)
-        ok &= np.abs(w.sum(axis=1) - 1.0) <= _WEIGHT_SUM_TOL
+            ok &= np.abs(w.sum(axis=1) - 1.0) <= _WEIGHT_SUM_TOL
         ipr = (w**2).sum(axis=1)
         entropy = -np.where(w > _ZERO_CLAMP, w * np.log2(w), 0.0).sum(axis=1)
         table = np.column_stack([w, entropy, 1.0 / ipr, ipr])

@@ -2,7 +2,10 @@
 
 Everything here signals a math-domain problem (bad matrix, bad state,
 bad parameter); plain ``ValueError`` is reserved for malformed input
-data such as unreadable files or out-of-range indices.
+data such as unreadable files or out-of-range indices. Each is raised
+where data enters or by an engine's one output check; a condition that
+validated input cannot reach, such as a degenerate Gram-Schmidt step,
+has no error of its own.
 """
 
 
@@ -28,10 +31,6 @@ class ConvergenceFailure(LowdinKitError):
 
 class NotNormalized(LowdinKitError):
     """Basis vector does not have unit norm."""
-
-
-class DegenerateStep(LowdinKitError):
-    """Gram-Schmidt hit a residual vector with negligible norm."""
 
 
 class DimensionMismatch(LowdinKitError):

@@ -12,8 +12,8 @@ from .states import WeightDistribution
 _ZERO_CLAMP = 1e-15
 
 
-def _weights(w) -> np.ndarray:
-    return (w if isinstance(w, WeightDistribution) else WeightDistribution(w)).weights
+def _distribution(w) -> WeightDistribution:
+    return w if isinstance(w, WeightDistribution) else WeightDistribution(w)
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ def shannon_entropy(w) -> float:
 
     Zero for a point mass, log2(d) for the uniform distribution.
     """
-    weights = _weights(w)
+    weights = _distribution(w).weights
     nonzero = weights[weights > _ZERO_CLAMP]
     return -float((nonzero * np.log2(nonzero)).sum())
 
@@ -42,11 +42,12 @@ def participation_ratio(w) -> float:
 
 def inverse_participation_ratio(w) -> float:
     """IPR = sum w_k^2; higher values mean stronger localization."""
-    weights = _weights(w)
+    weights = _distribution(w).weights
     return float((weights**2).sum())
 
 
 def measure_report(w) -> MeasureReport:
+    w = _distribution(w)
     ipr = inverse_participation_ratio(w)
     return MeasureReport(
         entropy=shannon_entropy(w),

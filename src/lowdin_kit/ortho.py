@@ -15,12 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateStep,
-    DimensionMismatch,
-    InvalidParameters,
-    UnsupportedDimension,
-)
+from .errors import DimensionMismatch, InvalidParameters, UnsupportedDimension
 from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
 from .linalg import _half_power
 from .states import PureState, _derived, _frozen_array
@@ -151,14 +146,10 @@ def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
     """
     idx = _resolve_order(basis.num_vectors, order)
     r = np.linalg.qr(basis.vectors[:, idx], mode="r")
-    # |R_kk| is column k's residual norm. Dividing row k by the phase of
-    # R_kk (+-1: LAPACK leaves diag(R) real) gives Gram-Schmidt's R.
-    norms = np.abs(np.diagonal(r))
-    degenerate = np.flatnonzero(norms <= 1e-10)
-    if degenerate.size:
-        k = degenerate[0]
-        raise DegenerateStep(f"residual norm {norms[k]:.3e} at step {k + 1}")
-    r /= (np.diagonal(r) / norms)[:, None]
+    # |R_kk| is column k's residual norm, >= sigma_min(C) > 1e-6 on a validated
+    # basis. Dividing row k by the phase of R_kk (+-1: LAPACK leaves diag(R)
+    # real) gives Gram-Schmidt's R.
+    r /= (np.diagonal(r) / np.abs(np.diagonal(r)))[:, None]
     # C[:, idx] = E R, so E = C T with the rows of T = R^{-1} put back in
     # input order.
     transform = np.empty_like(r)
@@ -216,7 +207,7 @@ def maximally_coherent_image(d2_gram: GramMatrix, sign: int) -> PureState:
     """
     if d2_gram.dim != 2:
         raise UnsupportedDimension(f"defined for dimension 2, got {d2_gram.dim}")
-    if sign not in (1, -1):
+    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     s = d2_gram.matrix[0, 1]
     if abs(s.imag) > 1e-12:

@@ -97,7 +97,8 @@ class DensityOperator:
             raise ValueError(f"coefficient matrix shape {rho.shape} != ({d}, {d})")
         rho = _unit_trace_psd(rho, "coefficient matrix")
         _frozen_array(self, "coeffs", rho)
-        _frozen_array(self, "_rho_lowdin", _lowdin_transform(self.gram, rho))
+        half = self.gram.sqrt
+        _frozen_array(self, "_rho_lowdin", _lowdin_transform(half @ rho @ half))
 
     @property
     def dim(self) -> int:
@@ -155,15 +156,17 @@ def lowdin_coeffs(state: PureState) -> np.ndarray:
 
 
 def weights_pure(state: PureState) -> WeightDistribution:
-    """Lowdin weights w_k = |[O^{1/2} a]_k|^2 of a pure state."""
-    return WeightDistribution(np.abs(lowdin_coeffs(state)) ** 2)
+    """Lowdin weights w_k = |b_k|^2 / ||b||^2 of a pure state, b = O^{1/2} a.
+    Divided by their own sum, as rho_L is by its trace, they are a distribution
+    by construction and are not checked again."""
+    w = np.abs(lowdin_coeffs(state)) ** 2
+    return _derived(WeightDistribution, weights=w / w.sum())
 
 
-def _lowdin_transform(gram: GramMatrix, rho: np.ndarray) -> np.ndarray:
-    """Unit-trace Hermitian O^{1/2} rho O^{1/2}. A congruence of a PSD rho
-    is PSD, so the result needs no eigendecomposition to be trusted."""
-    half = gram.sqrt
-    m = half @ rho @ half
+def _lowdin_transform(m: np.ndarray) -> np.ndarray:
+    """Unit-trace Hermitian part of a congruence m = O^{1/2} rho O^{1/2}, which is
+    scaled in place. A congruence of a PSD rho is PSD, so the result needs no
+    eigendecomposition to be trusted."""
     tr = float(m.trace().real)
     if tr <= _MIN_TRACE:
         raise DegenerateTrace(f"Tr(O rho) = {tr!r} is too small to normalize")
@@ -214,8 +217,8 @@ def offdiagonal_decomposition(op: DensityOperator) -> tuple[np.ndarray, np.ndarr
     rho alone produces in the Lowdin frame; the genuine part is the
     remainder.
     """
-    p = op.coeffs.diagonal()
-    artifact = _lowdin_transform(op.gram, np.diag(p / p.sum().real))
+    half, p = op.gram.sqrt, op.coeffs.diagonal()
+    artifact = _lowdin_transform((half * (p / p.sum().real)) @ half)
     np.fill_diagonal(artifact, 0.0)
     genuine = op._rho_lowdin - artifact
     np.fill_diagonal(genuine, 0.0)

@@ -14,6 +14,7 @@ from lowdin_kit import (
     shannon_entropy,
     weights_pure,
 )
+from lowdin_kit import measures
 
 
 def distributions(min_size=2, max_size=8):
@@ -87,6 +88,20 @@ class TestMeasureReport:
         assert 0.0 <= r.entropy <= np.log2(3)
         assert 1.0 <= r.participation_ratio <= 3.0
         assert 1.0 / 3.0 <= r.inverse_participation_ratio <= 1.0
+
+    def test_raw_vector_is_checked_once(self, monkeypatch):
+        expected = measure_report(WeightDistribution(np.array([0.66, 0.34])))
+        built = []
+
+        class Counted(WeightDistribution):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(measures, "WeightDistribution", Counted)
+        r = measure_report([0.66, 0.34])
+        assert len(built) == 1
+        assert r == expected
 
 
 class TestProperties:

@@ -11,7 +11,6 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 PUBLIC_NAMES = [
     "BasisSet",
     "ConvergenceFailure",
-    "DegenerateStep",
     "DegenerateTrace",
     "DensityOperator",
     "DimensionMismatch",

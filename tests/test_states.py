@@ -10,6 +10,7 @@ from conftest import corpus_rng, edge_psd_densities, random_gram_from
 from lowdin_kit import (
     DegenerateTrace,
     DensityOperator,
+    GramMatrix,
     InvalidParameters,
     OverlapSpec,
     PureState,
@@ -142,7 +143,7 @@ class TestLowdinDensity:
 
     def test_degenerate_trace_guard(self):
         with pytest.raises(DegenerateTrace):
-            _lowdin_transform(overlap2(0.5), np.zeros((2, 2)))
+            _lowdin_transform(np.zeros((2, 2), dtype=complex))
 
     def test_output_psd_trace_one(self):
         rng = corpus_rng(51)
@@ -241,19 +242,40 @@ class TestAcceptedEdgeDensities:
 
 
 class TestDerivedWeightsAreDistributions:
-    """Weights are checked once more where they are made, in O(d): on
-    near-singular overlaps round-off or rho's PSD tolerance can move them
-    off a probability vector, and they must then be refused, not returned."""
+    """Pure weights |b_k|^2 / ||b||^2, b = O^{1/2} a, are divided by their
+    own sum, so every state the validators accept has weights that sum to 1
+    up to round-off, however near-singular its overlap. Density weights keep
+    their O(d) check: rho's PSD tolerance can move them off a probability
+    vector, and they must then be refused, not returned."""
 
     @pytest.mark.parametrize("s", [1 - 1e-8, 1 - 1e-9, 1 - 1e-10])
     def test_pure_weights_sum_to_one_or_raise(self, s):
         g = overlap2(s)
         for eta in (1e-6, 1e-5, 1e-4):
-            try:
-                w = weights_pure(normalize_pure(g, [1.0, -1.0 + eta])).weights
-            except ValueError:
-                continue
-            assert abs(w.sum() - 1.0) <= 1e-9
+            w = weights_pure(normalize_pure(g, [1.0, -1.0 + eta])).weights
+            assert abs(w.sum() - 1.0) <= 4 * 2 * np.finfo(float).eps
+
+    def test_near_singular_states_are_never_refused(self):
+        # 1,008 states, d = 2..8, each along O's least eigenvector plus 1e-9
+        # noise, over O built from a spectrum whose least eigenvalue is
+        # 1e-4..1e-11 before the unit-diagonal scaling. Normalized by a+ O a,
+        # |O^{1/2} a|^2 summed up to about 7e-5 away from 1, and over half of
+        # these states were refused with "weights sum to ...".
+        rng = corpus_rng(90)
+        for d in range(2, 9):
+            for lam_min in 10.0 ** -np.arange(4, 12):
+                for _ in range(18):
+                    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+                    m = (u * np.concatenate([[lam_min], rng.uniform(0.5, 1.5, d - 1)])) @ u.conj().T
+                    o = m / np.sqrt(np.outer(m.diagonal().real, m.diagonal().real))
+                    o = 0.5 * (o + o.conj().T)
+                    np.fill_diagonal(o, 1.0)
+                    g = GramMatrix(o)
+                    noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+                    raw = np.linalg.eigh(o)[1][:, 0] + 1e-9 * noise
+                    w = weights_pure(normalize_pure(g, raw)).weights
+                    assert w.min() >= 0.0
+                    assert abs(w.sum() - 1.0) <= 4 * d * np.finfo(float).eps
 
     def test_large_clipped_weight_rejected(self):
         # rho = (1 + d) v_min v_min+ - d v_max v_max+ passes the -1e-10 floor,
@@ -435,9 +457,9 @@ class TestRhoLowdinFormedOnce:
     def test_one_congruence_of_rho_and_one_of_its_diagonal(self, monkeypatch):
         calls = []
 
-        def counted(gram, rho):
-            calls.append(rho)
-            return _lowdin_transform(gram, rho)
+        def counted(m):
+            calls.append(m.copy())  # before it is normalized in place
+            return _lowdin_transform(m)
 
         monkeypatch.setattr(states, "_lowdin_transform", counted)
         rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
@@ -445,10 +467,14 @@ class TestRhoLowdinFormedOnce:
         w = weights_density(op).weights
         rho_l = lowdin_density(op).matrix
         artifact, genuine = offdiagonal_decomposition(op)
+        half, p = op.gram.sqrt, np.array([0.6, 0.4], dtype=complex)
         assert len(calls) == 2
-        assert calls[0] is op.coeffs and np.array_equal(calls[1], np.diag([0.6, 0.4]) + 0j)
+        assert np.array_equal(calls[0], half @ op.coeffs @ half)
+        # The diagonal congruence scales O^{1/2}'s columns; it equals the
+        # product through diag(p) to the bit.
+        assert calls[1].tobytes() == ((half * p) @ half).tobytes() == (half @ np.diag(p) @ half).tobytes()
         # Every derived result reads the one rho_L, bit for bit.
-        expected = _lowdin_transform(op.gram, op.coeffs)
+        expected = _lowdin_transform(half @ op.coeffs @ half)
         assert np.array_equal(rho_l, expected)
         assert np.array_equal(w, np.real(np.diag(expected)))
         assert np.array_equal(genuine + artifact, expected - np.diag(np.diag(expected)))
