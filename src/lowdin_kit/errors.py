@@ -51,7 +51,3 @@ class DegenerateTrace(LowdinKitError):
 
 class InvalidParameters(LowdinKitError):
     """Parameters violate the preconditions of a closed-form construction."""
-
-
-class GenerationFailure(LowdinKitError):
-    """Random generation exhausted its rejection budget."""

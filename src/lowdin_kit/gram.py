@@ -19,20 +19,13 @@ from numbers import Number
 import numpy as np
 
 from . import linalg
-from .errors import (
-    GenerationFailure,
-    LinearlyDependent,
-    NotHermitian,
-    NotNormalized,
-    NotPositiveDefinite,
-)
+from .errors import LinearlyDependent, NotHermitian, NotNormalized, NotPositiveDefinite
 
 # How far a basis column's norm and a diagonal entry may deviate from 1
 # (looser for the diagonal, which the squared column norms feed).
 UNIT_NORM_TOL = 1e-10
 DIAG_TOL = 1e-9
 
-_RANDOM_GRAM_TRIES = 1000
 _EPS = float(np.finfo(float).eps)
 
 
@@ -145,7 +138,7 @@ def gram_from_vectors(basis) -> GramMatrix:
     Raises ValueError for non-finite entries, NotNormalized for non-unit
     columns and LinearlyDependent when the columns are numerically dependent.
     """
-    cols = np.asarray(getattr(basis, "vectors", basis), dtype=complex)
+    cols = linalg._as_array(getattr(basis, "vectors", basis), "basis vectors")
     if cols.ndim != 2:
         raise ValueError(f"expected a 2-d array of column vectors, got shape {cols.shape}")
     if not np.isfinite(cols).all():
@@ -171,28 +164,30 @@ def gram_from_overlaps(spec: OverlapSpec) -> GramMatrix:
 
 
 def random_gram(dim: int, seed: int, overlap_range: tuple[float, float]) -> GramMatrix:
-    """Random positive-definite overlap matrix with controlled overlaps.
+    """Random positive-definite overlap matrix with controlled overlaps, drawn once.
 
-    Pairwise overlaps are drawn uniformly from overlap_range and the
-    assembled matrix is rejected until positive definite. Deterministic
-    for a fixed (dim, seed, overlap_range).
+    The d(d-1)/2 real overlaps of a symmetric A with zero diagonal are drawn
+    uniformly from overlap_range = (lo, hi), and I + A is returned when it is
+    a valid Gram. Otherwise lambda_min(A) is about -1 or below, and
+    I + A / (2 |lambda_min(A)|) is returned instead, with lambda_min 1/2: every
+    overlap is scaled toward 0, by a factor of about 1/2 or less, so it stays
+    inside any overlap_range that contains 0. Generation never fails, and it
+    is deterministic for a fixed (dim, seed, overlap_range); seed is a
+    non-negative integer.
     """
     _check_dim(dim)
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if np.shape(overlap_range) != (2,):
+        raise ValueError(f"overlap_range {overlap_range!r} must be a pair (lo, hi)")
     lo, hi = float(overlap_range[0]), float(overlap_range[1])
     if not (-1.0 < lo <= hi < 1.0):
         raise ValueError(f"overlap_range [{lo}, {hi}] must lie within (-1, 1)")
-    rng = np.random.default_rng(seed)
     iu = np.triu_indices(dim, k=1)
-    for _ in range(_RANDOM_GRAM_TRIES):
-        a = np.eye(dim, dtype=complex)
-        draws = rng.uniform(lo, hi, size=len(iu[0]))
-        a[iu] = draws
-        a[(iu[1], iu[0])] = draws
-        try:
-            return GramMatrix(a)
-        except NotPositiveDefinite:
-            continue
-    raise GenerationFailure(
-        f"no positive-definite overlap matrix of dim {dim} found in "
-        f"{_RANDOM_GRAM_TRIES} draws from [{lo}, {hi}]"
-    )
+    a = np.zeros((dim, dim))
+    a[iu] = np.random.default_rng(seed).uniform(lo, hi, size=len(iu[0]))
+    a += a.T
+    try:
+        return GramMatrix(np.eye(dim) + a)
+    except NotPositiveDefinite:
+        return GramMatrix(np.eye(dim) + a * (0.5 / abs(np.linalg.eigvalsh(a)[0])))

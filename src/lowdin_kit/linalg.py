@@ -26,12 +26,21 @@ class HermitianEigenDecomposition:
     eigenvectors: np.ndarray
 
 
+def _as_array(x, what: str, dtype=complex, copy: bool = False) -> np.ndarray:
+    """x as an array of dtype, a new one if copy; ValueError naming what where an
+    entry is too large for a float, as a Python integer such as 10**400 is."""
+    try:
+        return np.array(x, dtype=dtype) if copy else np.asarray(x, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{what}: entry too large for a float") from None
+
+
 def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
     """The Hermitian gate: ValueError unless m is square, non-empty and finite;
     error if max |m_ij - conj(m_ji)| exceeds 1e-10 max(1, ||m||_F). Returns
     m's complex Hermitian part, so roundoff-level asymmetry cannot leak on. A finite
     ||m||_F^2 proves m finite; only a non-finite one makes the gate scan m's entries."""
-    a = np.asarray(m, dtype=complex)
+    a = _as_array(m, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     x = a.ravel(order="K")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, UnsupportedDimension
 from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
-from .linalg import _half_power
+from .linalg import _as_array, _half_power
 from .states import PureState, _derived, _frozen_array
 
 _ORTHONORMALITY_TOL = 1e-8
@@ -39,7 +39,7 @@ class BasisSet:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=complex)
+        v = _as_array(self.vectors, "basis vectors")
         if v.ndim != 2 or v.shape[1] < 1:
             raise ValueError(f"expected a matrix of column vectors, got shape {v.shape}")
         if v.shape[0] < v.shape[1]:

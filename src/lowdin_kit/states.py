@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateTrace, InvalidParameters, ZeroState
 from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
-from .linalg import _hermitian_part, hermitian_eig
+from .linalg import _as_array, _hermitian_part, hermitian_eig
 
 _PSD_TOL, _TRACE_TOL, _WEIGHT_SUM_TOL, _NEGATIVE_WEIGHT_TOL = 1e-10, 1e-9, 1e-9, 1e-12
 # At or below these a+ O a or Tr(O^{1/2} rho O^{1/2}) is too small to normalize by.
@@ -38,7 +38,7 @@ def _derived(cls, **fields):
 
 def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
     """Complex copy a of raw, one finite entry per basis vector, and a finite a+ O a."""
-    a = np.array(raw, dtype=complex).reshape(-1)
+    a = _as_array(raw, "state coefficients", copy=True).reshape(-1)
     if a.shape[0] != gram.dim:
         raise ValueError(f"coefficient length {a.shape[0]} != overlap dimension {gram.dim}")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf entry or a huge one is refused below
@@ -91,7 +91,7 @@ class DensityOperator:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.coeffs, dtype=complex)
+        rho = _as_array(self.coeffs, "coefficient matrix")
         d = self.gram.dim
         if rho.shape != (d, d):
             raise ValueError(f"coefficient matrix shape {rho.shape} != ({d}, {d})")
@@ -126,7 +126,7 @@ class WeightDistribution:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float).reshape(-1)
+        w = _as_array(self.weights, "weights", float, copy=True).reshape(-1)
         lo, hi = (float(w.min()), float(w.max())) if w.size else (math.nan, math.nan)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weights must be a non-empty finite vector")

@@ -6,7 +6,6 @@ import pytest
 from conftest import corpus_rng, random_basis, random_gram_from, shared_component_columns
 from lowdin_kit import (
     BasisSet,
-    GenerationFailure,
     GramMatrix,
     LinearlyDependent,
     NotHermitian,
@@ -279,7 +278,7 @@ class TestPowers:
 
     def test_sqrt_squares_back(self):
         rng = corpus_rng(10)
-        for dim in (2, 3, 5):
+        for dim in (2, 3, 5, 16, 64):
             g = random_gram_from(rng, dim)
             assert np.linalg.norm(g.sqrt @ g.sqrt - g.matrix) <= 1e-10
 
@@ -322,10 +321,24 @@ class TestRandomGram:
         g = random_gram(3, seed=1, overlap_range=(0.0, 0.5))
         assert float(hermitian_eig(g.matrix).eigenvalues[0]) > 0
 
-    def test_generation_failure(self):
-        # constant overlap -0.9 in dimension 8 can never be positive definite
-        with pytest.raises(GenerationFailure):
-            random_gram(8, seed=5, overlap_range=(-0.9, -0.9))
+    def test_accepted_draw_is_identity_plus_draws(self):
+        # One draw of the upper triangle, row by row, mirrored below it.
+        for dim, seed, overlap_range in ((4, 7, (-0.2, 0.2)), (6, 11, (0.0, 0.5))):
+            a = np.zeros((dim, dim))
+            iu = np.triu_indices(dim, k=1)
+            a[iu] = np.random.default_rng(seed).uniform(*overlap_range, size=len(iu[0]))
+            g = random_gram(dim, seed, overlap_range)
+            assert np.array_equal(g.matrix, np.eye(dim) + a + a.T)
+
+    @pytest.mark.parametrize("dim, overlap_range", [(8, (-0.9, -0.9)), (64, (-0.4, 0.4))], ids=["d8", "d64"])
+    def test_refused_draw_is_scaled_to_lambda_min_one_half(self, dim, overlap_range):
+        # Constant overlap -0.9 at d=8 is never positive definite, nor is any
+        # draw from +-0.4 at d=64; each is scaled, not searched past.
+        g = random_gram(dim, seed=5, overlap_range=overlap_range)
+        assert abs(float(np.linalg.eigvalsh(g.matrix)[0]) - 0.5) <= 1e-12
+        lo, hi = overlap_range
+        off = g.matrix[np.triu_indices(dim, k=1)].real
+        assert np.all(np.abs(off) <= max(abs(lo), abs(hi)) / 2 * (1 + 1e-12))
 
     @pytest.mark.parametrize("dim", [3.0, np.float64(3.0), True])
     def test_rejects_non_integer_dim(self, dim):
@@ -341,6 +354,16 @@ class TestRandomGram:
             random_gram(3, seed=0, overlap_range=(-1.0, 0.2))
         with pytest.raises(ValueError):
             random_gram(3, seed=0, overlap_range=(0.5, 0.2))
+
+    @pytest.mark.parametrize("overlap_range", [(-0.2, 0.2, 0.5), (0.2,), 0.2])
+    def test_range_must_be_a_pair(self, overlap_range):
+        with pytest.raises(ValueError, match=re.escape(f"overlap_range {overlap_range!r} must be a pair")):
+            random_gram(3, 1, overlap_range)
+
+    @pytest.mark.parametrize("seed", [1.5, True, np.True_, -1, "1"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            random_gram(3, seed, (-0.2, 0.2))
 
 
 class TestRoundTrips:

@@ -375,7 +375,7 @@ class TestInduceNonorthogonal:
 
     def test_lowdin_recovers_computational_basis(self):
         rng = corpus_rng(33)
-        for dim in (2, 3, 5):
+        for dim in (2, 3, 5, 16, 64):
             g = random_gram_from(rng, dim)
             r = lowdin_symmetric(induce_nonorthogonal(g))
             assert np.linalg.norm(r.basis.vectors - np.eye(dim)) <= 1e-8

@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "DegenerateTrace",
     "DensityOperator",
     "DimensionMismatch",
-    "GenerationFailure",
     "GramMatrix",
     "HermitianEigenDecomposition",
     "InvalidParameters",
@@ -78,3 +77,30 @@ def test_readme_quick_start_runs(capsys):
     # The block's comments promise weights ~ (0.66, 0.34) and an entropy ~ 0.925 bits.
     assert numbers[:2] == pytest.approx([0.66, 0.34], abs=5e-3)
     assert numbers[2:] == pytest.approx([0.925], abs=5e-4)
+
+
+_BIG = 10**400  # a Python integer beyond the largest float
+_G2 = lowdin_kit.GramMatrix([[1.0, 0.2], [0.2, 1.0]])
+_OVERFLOWING_ENTRIES = {
+    "PureState": (lambda: lowdin_kit.PureState(_G2, [_BIG, 0]), "state coefficients"),
+    "normalize_pure": (lambda: lowdin_kit.normalize_pure(_G2, [_BIG, 0]), "state coefficients"),
+    "DensityOperator": (lambda: lowdin_kit.DensityOperator(_G2, [[_BIG, 0], [0, 1]]), "coefficient matrix"),
+    "GramMatrix": (lambda: lowdin_kit.GramMatrix([[1, _BIG], [_BIG, 1]]), "overlap matrix"),
+    "BasisSet": (lambda: lowdin_kit.BasisSet([[_BIG, 0], [0, 1]]), "basis vectors"),
+    "gram_from_vectors": (lambda: lowdin_kit.gram_from_vectors([[_BIG, 0], [0, 1]]), "basis vectors"),
+    "WeightDistribution": (lambda: lowdin_kit.WeightDistribution([_BIG, 0]), "weights"),
+    "hermitian_eig": (lambda: lowdin_kit.hermitian_eig([[_BIG, 0], [0, 1]]), "matrix"),
+    "LowdinTransformedState": (
+        lambda: lowdin_kit.LowdinTransformedState([[_BIG, 0], [0, 1]]), "transformed state",
+    ),
+    "shannon_entropy": (lambda: lowdin_kit.shannon_entropy([_BIG, 0]), "weights"),
+    "measure_report": (lambda: lowdin_kit.measure_report([_BIG, 0]), "weights"),
+}
+
+
+@pytest.mark.parametrize("entry", _OVERFLOWING_ENTRIES)
+def test_integer_beyond_float_range_is_a_value_error(entry):
+    # Each entry names its argument, as OverlapSpec names its pair.
+    call, what = _OVERFLOWING_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{what}: entry too large for a float$"):
+        call()

@@ -183,7 +183,7 @@ class TestWeightsDensity:
 
     def test_bit_identical_to_lowdin_density_diagonal(self):
         rng = corpus_rng(53)
-        for dim in (2, 3, 5, 8):
+        for dim in (2, 3, 5, 8, 16, 64):
             g = random_gram_from(rng, dim)
             z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             rho = z @ z.conj().T
