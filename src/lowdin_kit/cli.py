@@ -25,16 +25,15 @@ import numpy as np
 from .checks import _gram2, reference_rows, render_table
 from .errors import LowdinKitError
 from .fileformats import (
+    _CELL,
     _json_text,
     basis_to_dict,
-    fmt12,
     matrix_to_pairs,
     parse_basis,
-    parse_number,
     parse_state,
     vector_to_pairs,
 )
-from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _ct, _half_power
+from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _as_real, _ct, _half_power
 from .measures import _ZERO_CLAMP, measure_report
 from .ortho import OrthoMethod, gram_schmidt, lowdin_canonical, lowdin_symmetric
 from .states import (
@@ -214,9 +213,9 @@ def parse_sweep_spec(obj) -> SweepSpec:
     out = obj.get("out")
     if out is not None and not isinstance(out, str):
         raise ValueError("sweep: 'out' must be a path string")
-    lo = parse_number(rng[0], "sweep.range")
-    hi = parse_number(rng[1], "sweep.range")
-    fixed = {k: parse_number(v, f"sweep.fixed.{k}") for k, v in fixed.items()}
+    lo = _as_real(rng[0], "sweep.range")
+    hi = _as_real(rng[1], "sweep.range")
+    fixed = {k: _as_real(v, f"sweep.fixed.{k}") for k, v in fixed.items()}
     if parameter not in _SWEEP_DOMAINS:
         raise ValueError(f"sweep: unknown parameter {parameter!r}")
     if not (lo < hi):
@@ -246,6 +245,7 @@ def parse_sweep_spec(obj) -> SweepSpec:
 
 # Steps per stacked pass, so that its arrays take a few MiB however long the sweep.
 _SWEEP_BLOCK = 4096
+_CSV_ROW = ",".join([_CELL] * 6) + "\n"
 
 
 def _sweep_step(params: dict) -> tuple:
@@ -304,19 +304,19 @@ def run_sweep(spec: SweepSpec) -> str:
 
     Each block of steps is computed in one stacked pass; a step the pass cannot
     prove valid is replayed, in step order, through the library, which then
-    raises that step's typed error or yields its row."""
+    raises that step's typed error or yields its row. One % writes a block's rows."""
     # Only the last product (steps - 1) * step can overflow, and linspace
     # overwrites that entry with hi, which the parser has proven finite.
     with np.errstate(over="ignore"):
         values = np.linspace(spec.lo, spec.hi, spec.steps)
-    lines = ["param,w_1,w_2,entropy,pr,ipr"]
+    parts = ["param,w_1,w_2,entropy,pr,ipr\n"]
     for start in range(0, spec.steps, _SWEEP_BLOCK):
         block = values[start : start + _SWEEP_BLOCK]
         table, proven = _sweep_table({**spec.fixed, spec.parameter: block}, block.size)
-        for value, row, ok in zip(block.tolist(), table.tolist(), proven.tolist()):
-            cells = row if ok else _sweep_step({**spec.fixed, spec.parameter: value})
-            lines.append(",".join(map(fmt12, (value, *cells))))
-    return "\n".join(lines) + "\n"
+        for i in np.flatnonzero(~proven).tolist():
+            table[i] = _sweep_step({**spec.fixed, spec.parameter: float(block[i])})
+        parts.append(_CSV_ROW * block.size % tuple(np.column_stack([block, table]).ravel().tolist()))
+    return "".join(parts)
 
 
 def cmd_sweep(args) -> int:

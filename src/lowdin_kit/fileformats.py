@@ -20,25 +20,28 @@ Parse problems raise ValueError; the CLI maps those to exit code 2.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .gram import GramMatrix, OverlapSpec, _is_integer, gram_from_overlaps
+from .gram import GramMatrix, OverlapSpec, _check_dim, _is_integer, gram_from_overlaps
+from .linalg import _as_real
 from .ortho import BasisSet
 from .states import DensityOperator, PureState, normalize_pure
 
 SIGNIFICANT_DIGITS = 12
-# The one 12-digit format. round12 and the report writer apply it themselves
-# rather than calling the public fmt12, so a tracer that wraps public
-# functions records no span per rounded number.
+# The one 12-digit format; _CELL is its %-form, which formats a whole list in
+# one call. round12 and the report and CSV writers apply it themselves rather
+# than calling the public fmt12, so a tracer records no span per number.
 _FORMAT = f".{SIGNIFICANT_DIGITS}g"
+_CELL = "%" + _FORMAT
 
 
 def fmt12(x: float) -> str:
-    """Fixed 12-significant-digit text form used in CSV cells."""
+    """Fixed 12-significant-digit text of one CSV cell (run_sweep writes its rows with _CELL)."""
     return format(float(x), _FORMAT)
 
 
@@ -52,34 +55,35 @@ _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _float_texts(xs: list) -> list[str]:
-    """json.dumps(round12(x)) of each float x, with one format per float.
+    """json.dumps(round12(x)) of each float x, all written by one %.
 
     The 12-digit text already is the repr of the rounded float, except
     where repr writes another form: integral values (repr adds ".0"),
     exponents e+12 to e+15 (repr writes them in full), e-308 and below
-    (subnormals keep fewer than 15 digits, so repr may differ), and
-    inf and nan. Those texts, and a few more that the cheap test below
-    also catches, take repr(round12(x)) or the JSON literal instead.
+    (subnormals: repr may differ), and inf and nan. Those texts, and a few
+    more that the cheap test below also catches (first on all texts at
+    once: each has at most one "."), take repr(round12(x)) or JSON's literal.
     """
-    texts = [format(x, _FORMAT) for x in xs]
-    for i, t in enumerate(texts):
-        if "." not in t or "e+1" in t or "e-3" in t:
-            texts[i] = _NON_FINITE.get(t) or repr(round12(xs[i]))
+    text = (_CELL + "\n") * len(xs) % tuple(xs)
+    texts = text.split()
+    if text.count(".") < len(xs) or "e+1" in text or "e-3" in text:
+        for i, t in enumerate(texts):
+            if "." not in t or "e+1" in t or "e-3" in t:
+                texts[i] = _NON_FINITE.get(t) or repr(round12(xs[i]))
     return texts
 
 
 def _number_items(items: list | tuple, indent: str) -> list[str] | None:
-    """Item texts of a list of floats or of [re, im] float pairs whose
-    items sit at indent; None for any other list."""
+    """Item texts of a list of floats at indent; for a list of [re, im] float
+    pairs, one text of all its items, written by one %; None for any other list."""
     types = set(map(type, items))
     if types == {float}:
         return _float_texts(items)
     if types <= {list, tuple} and set(map(len, items)) == {2}:
         flat = list(chain.from_iterable(items))
         if set(map(type, flat)) == {float}:
-            texts = iter(_float_texts(flat))
             pair = f"[\n{indent}  %s,\n{indent}  %s\n{indent}]"
-            return list(map(pair.__mod__, zip(texts, texts)))
+            return [(",\n" + indent).join([pair] * len(items)) % tuple(_float_texts(flat))]
     return None
 
 
@@ -118,20 +122,10 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def parse_number(x, what: str) -> float:
-    """A JSON number as a float; ValueError for anything else, and for an overflowing integer."""
-    if not _is_number(x):
-        raise ValueError(f"{what}: expected a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValueError(f"{what}: integer too large for a float") from None
-
-
 def _as_pair(item, what: str) -> complex:
     if not isinstance(item, (list, tuple)) or len(item) != 2 or not all(map(_is_number, item)):
         raise ValueError(f"{what}: expected a [re, im] number pair, got {item!r}")
-    return complex(parse_number(item[0], what), parse_number(item[1], what))
+    return complex(_as_real(item[0], what), _as_real(item[1], what))
 
 
 def _pairs(a) -> list:
@@ -145,8 +139,14 @@ def vector_to_pairs(v) -> list[list[float]]:
 
 
 def pairs_to_vector(items, what: str) -> np.ndarray:
+    """Complex vector of [re, im] number pairs, in one call where it can; _as_pair words every fault."""
     if not isinstance(items, list) or not items:
         raise ValueError(f"{what}: expected a non-empty list of [re, im] pairs")
+    if set(map(type, items)) == {list} and set(map(len, items)) == {2}:
+        flat = list(chain.from_iterable(items))
+        with suppress(OverflowError):  # an int beyond float range is worded below
+            if set(map(type, flat)) <= {int, float}:
+                return np.array(flat, dtype=float).view(complex)
     return np.array([_as_pair(p, what) for p in items], dtype=complex)
 
 
@@ -175,6 +175,7 @@ def _checked_gram(obj) -> tuple[int, partial]:
         raise ValueError("gram: expected a JSON object")
     dim = _require_int(obj, "dim", "gram")
     if "matrix" in obj:
+        _check_dim(dim)
         return dim, partial(GramMatrix, pairs_to_matrix(obj["matrix"], dim, "gram.matrix"))
     overlaps = obj.get("overlaps", [])
     if not isinstance(overlaps, list):

@@ -173,14 +173,14 @@ def random_gram(dim: int, seed: int, overlap_range: tuple[float, float]) -> Gram
     overlap is scaled toward 0, by a factor of about 1/2 or less, so it stays
     inside any overlap_range that contains 0. Generation never fails, and it
     is deterministic for a fixed (dim, seed, overlap_range); seed is a
-    non-negative integer.
+    non-negative integer, and lo and hi are real numbers, not bools or text.
     """
     _check_dim(dim)
     if not _is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if np.shape(overlap_range) != (2,):
         raise ValueError(f"overlap_range {overlap_range!r} must be a pair (lo, hi)")
-    lo, hi = float(overlap_range[0]), float(overlap_range[1])
+    lo, hi = (linalg._as_real(v, "overlap_range") for v in overlap_range)
     if not (-1.0 < lo <= hi < 1.0):
         raise ValueError(f"overlap_range [{lo}, {hi}] must lie within (-1, 1)")
     iu = np.triu_indices(dim, k=1)

@@ -8,6 +8,7 @@ every Hermitian input passes, Gram and density matrices alike. All pure.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +29,28 @@ class HermitianEigenDecomposition:
 
 def _as_array(x, what: str, dtype=complex, copy: bool = False) -> np.ndarray:
     """x as an array of dtype, a new one if copy; ValueError naming what where an
-    entry is too large for a float, as a Python integer such as 10**400 is."""
+    entry is text, which numpy would parse, or too large for a float, as a Python
+    integer such as 10**400 is. Only an object array's entries are scanned, and
+    an ndarray x is not converted before its dtype is read."""
+    a = np.asarray(x)
+    kind = a.dtype.kind
+    if kind in "SU" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in a.flat)):
+        raise ValueError(f"{what}: expected numbers, got text")
     try:
         return np.array(x, dtype=dtype) if copy else np.asarray(x, dtype=dtype)
     except OverflowError:
         raise ValueError(f"{what}: entry too large for a float") from None
+
+
+def _as_real(x, what: str) -> float:
+    """x as a float; ValueError naming what unless x is a real number, not a
+    bool or text, within float range. The file parser holds each JSON number to it."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        raise ValueError(f"{what}: expected a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what}: integer too large for a float") from None
 
 
 def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateTrace, InvalidParameters, ZeroState
 from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
-from .linalg import _as_array, _hermitian_part, hermitian_eig
+from .linalg import _as_array, _as_real, _hermitian_part, hermitian_eig
 
 _PSD_TOL, _TRACE_TOL, _WEIGHT_SUM_TOL, _NEGATIVE_WEIGHT_TOL = 1e-10, 1e-9, 1e-9, 1e-12
 # At or below these a+ O a or Tr(O^{1/2} rho O^{1/2}) is too small to normalize by.
@@ -192,10 +192,10 @@ def closed_form_2d_weights(p: float, q: float, s: float) -> WeightDistribution:
 
         w_1 = [1 + (2p - 1) sqrt(1 - s^2) + 2 q s] / (2 + 4 q s)
 
-    Raises InvalidParameters when rho is not PSD or the denominator is
-    not positive.
+    Raises ValueError unless p, q and s are real numbers (not bools or text),
+    and InvalidParameters when rho is not PSD or the denominator is not positive.
     """
-    p, q, s = float(p), float(q), float(s)
+    p, q, s = _as_real(p, "p"), _as_real(q, "q"), _as_real(s, "s")
     if not (0.0 <= p <= 1.0):
         raise InvalidParameters(f"p = {p} outside [0, 1]")
     if not (-1.0 < s < 1.0):
@@ -239,9 +239,10 @@ def golden_state_3d(s: float) -> PureState:
     """Representative maximal superposition state in dimension 3.
 
     Built over the overlap pattern <c1|c2> = s, <c1|c3> = <c2|c3> = -s
-    with s in (-1/2, 0]; its Lowdin weights are uniform.
+    with s in (-1/2, 0], a real number (not a bool or text); its Lowdin
+    weights are uniform.
     """
-    s = float(s)
+    s = _as_real(s, "s")
     if not (-0.5 < s <= 0.0):
         raise InvalidParameters(f"s = {s} outside (-1/2, 0]")
     g = gram_from_overlaps(OverlapSpec(3, [(1, 2, s), (1, 3, -s), (2, 3, -s)]))

@@ -798,6 +798,15 @@ class TestInputErrors:
         assert run_cli(capsys, ["weights", "--state", path]) == (
             2, "", f"error: ValueError: {message}\n")
 
+    @pytest.mark.parametrize("form", ["matrix", "overlaps"])
+    @pytest.mark.parametrize("dim", [-2, -1, 0, 1])
+    def test_dim_below_two_rejected(self, capsys, tmp_path, dim, form):
+        # Both forms say so alike; the dense form used to reach numpy's reshape.
+        entries = [[1, 0]] * max(dim * dim, 1) if form == "matrix" else []
+        path = write_json(tmp_path / "state.json", {"gram": {"dim": dim, form: entries}, "pure": self.PURE})
+        assert run_cli(capsys, ["weights", "--state", path]) == (
+            2, "", "error: ValueError: dim must be >= 2\n")
+
     @pytest.mark.parametrize("gram", [
         {"dim": 2, "overlaps": [[1, 2, 1.2, 0.0]]},
         {"dim": 2, "matrix": [[1.0, 0.0], [1.2, 0.0], [1.2, 0.0], [1.0, 0.0]]},

@@ -4,7 +4,8 @@ The reference below is the former encoder: every element rounded as it is
 converted (`complex_to_pair`), then the whole report rounded again by
 `round_tree` and written by `json.dumps(indent=2)`. The vectorized encoders
 plus the one-pass `to_json`, which formats each float once, must give the
-same bytes, since 12-digit rounding is idempotent.
+same bytes, since 12-digit rounding is idempotent. The one-call pair
+parser is checked the same way, against the per-pair parser it bypasses.
 """
 
 import json
@@ -287,3 +288,42 @@ json_trees = st.recursive(
 def test_json_trees_match_old_encoder(tree, fields):
     report = AnalysisReport(command="tree", input={"tree": tree}, basis=fields, weights=[tree])
     assert report.to_json() == _to_json_old(report)
+
+
+def _pairs_to_vector_reference(items, what):
+    """The per-pair parser that pairs_to_vector's one-call path replaces."""
+    if not isinstance(items, list) or not items:
+        raise ValueError(f"{what}: expected a non-empty list of [re, im] pairs")
+    return np.array([fileformats._as_pair(p, what) for p in items], dtype=complex)
+
+
+# Numbers a JSON file can hold, and entries it can hold that are not numbers.
+pair_numbers = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, -2.225073858507e-308, float("nan"), float("inf"), -float("inf")])
+    | st.integers(min_value=-(2**64), max_value=2**64)
+    | st.sampled_from([2**53 + 1, -(2**63) - 1, 2**1023 * 3 // 2, 10**400, -(10**400)])
+)
+pair_entries = pair_numbers | st.booleans() | st.none() | st.text(max_size=3) | st.lists(pair_numbers, max_size=2)
+pair_lists = (
+    st.lists(st.lists(pair_numbers, min_size=2, max_size=2), max_size=8)
+    | st.lists(st.lists(pair_entries, min_size=2, max_size=2), min_size=1, max_size=8)
+    | st.lists(st.lists(pair_entries, min_size=1, max_size=3) | st.tuples(pair_numbers, pair_numbers)
+               | pair_numbers, min_size=1, max_size=8)
+    | st.tuples(st.lists(pair_numbers, min_size=2, max_size=2))
+    | pair_numbers
+)
+
+
+def _parsed(parse, items):
+    try:
+        v = parse(items, "field")
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return v.dtype, v.shape, v.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(items=pair_lists)
+def test_pairs_to_vector_matches_per_pair_reference(items):
+    assert _parsed(fileformats.pairs_to_vector, items) == _parsed(_pairs_to_vector_reference, items)

@@ -1,6 +1,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lowdin_kit
@@ -103,4 +104,33 @@ def test_integer_beyond_float_range_is_a_value_error(entry):
     # Each entry names its argument, as OverlapSpec names its pair.
     call, what = _OVERFLOWING_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{what}: entry too large for a float$"):
+        call()
+
+
+# numpy's array conversion and Python's float() parse text; the library does not,
+# as the file parser does not. Its scalar arguments are held to the parser's rule.
+_NOT_NUMBERS = {
+    "GramMatrix": (lambda: lowdin_kit.GramMatrix([["1", "0"], ["0", "1"]]),
+                   "overlap matrix: expected numbers, got text"),
+    "normalize_pure": (lambda: lowdin_kit.normalize_pure(_G2, ["1", "0"]),
+                       "state coefficients: expected numbers, got text"),
+    "closed_form_2d_weights": (lambda: lowdin_kit.closed_form_2d_weights("0.5", 0.1, 0.3),
+                               "p: expected a number, got '0.5'"),
+    "random_gram": (lambda: lowdin_kit.random_gram(3, 1, ("-0.2", "0.2")),
+                    "overlap_range: expected a number, got '-0.2'"),
+    "golden_state_3d": (lambda: lowdin_kit.golden_state_3d("-0.2"), "s: expected a number, got '-0.2'"),
+    "object array": (lambda: lowdin_kit.DensityOperator(_G2, np.array([[0.5, "0"], [0, 0.5]], dtype=object)),
+                     "coefficient matrix: expected numbers, got text"),
+    "bytes": (lambda: lowdin_kit.WeightDistribution([b"0.5", b"0.5"]), "weights: expected numbers, got text"),
+    "bool scalar": (lambda: lowdin_kit.golden_state_3d(False), "s: expected a number, got False"),
+    "bool range": (lambda: lowdin_kit.random_gram(3, 1, (False, 0.2)), "overlap_range: expected a number, got False"),
+    "big scalar": (lambda: lowdin_kit.closed_form_2d_weights(_BIG, 0.1, 0.3), "p: integer too large for a float"),
+    "big range": (lambda: lowdin_kit.random_gram(3, 1, (-_BIG, 0.2)), "overlap_range: integer too large for a float"),
+}
+
+
+@pytest.mark.parametrize("entry", _NOT_NUMBERS)
+def test_text_and_bools_are_value_errors(entry):
+    call, message = _NOT_NUMBERS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
