@@ -34,15 +34,10 @@ from .states import DensityOperator, PureState, normalize_pure
 
 SIGNIFICANT_DIGITS = 12
 # The one 12-digit format; _CELL is its %-form, which formats a whole list in
-# one call. round12 and the report and CSV writers apply it themselves rather
-# than calling the public fmt12, so a tracer records no span per number.
+# one call. The report and CSV writers apply it to whole lists, not through a
+# function per number, so a tracer records no span per number.
 _FORMAT = f".{SIGNIFICANT_DIGITS}g"
 _CELL = "%" + _FORMAT
-
-
-def fmt12(x: float) -> str:
-    """Fixed 12-significant-digit text of one CSV cell (run_sweep writes its rows with _CELL)."""
-    return format(float(x), _FORMAT)
 
 
 def round12(x: float) -> float:

@@ -31,10 +31,11 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Validated overlap matrix. Immutable. The one check of |O_ij| < 1, for
-    dense and pairwise input alike; one Cholesky factorization proves it
-    positive definite, and only where that fails does the spectrum decide.
-    It is diagonalized at most once, on first use of `eigen` or `sqrt`."""
+    """Validated overlap matrix. Immutable. One |O - I| serves the unit-diagonal
+    check and the one check of |O_ij| < 1, for dense and pairwise input alike;
+    one Cholesky factorization proves it positive definite, and only where that
+    fails does the spectrum decide. It is diagonalized at most once, on first
+    use of `eigen` or `sqrt`."""
 
     matrix: np.ndarray
 
@@ -44,15 +45,17 @@ class GramMatrix:
         a = linalg._hermitian_part(self.matrix, NotHermitian, "overlap matrix")
         d = a.shape[0]
         off = a - np.eye(d)  # O - I; later the Cholesky operand O - sigma I
-        diag_dev = float(np.abs(off.diagonal()).max())
+        mags = np.abs(off)  # |O - I|, for both scans
+        diag_dev = float(mags.diagonal().max())
         if diag_dev > DIAG_TOL:
             raise NotNormalized(f"diagonal deviates from 1 by {diag_dev:.3e}")
-        if np.abs(off).max() >= 1.0:
-            mags = np.triu(np.abs(off))
+        if mags.max() >= 1.0:
+            mags = np.triu(mags)
             i, j = np.unravel_index(np.argmax(mags), mags.shape)
             raise NotPositiveDefinite(
                 f"an off-diagonal overlap has magnitude >= 1: |O_ij| = {mags[i, j]:.6g} at ({i + 1}, {j + 1})"
             )
+        del mags  # freed before the Cholesky, which holds O - sigma I and its factor
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
         # A computed Cholesky factor of O - sigma I (|entries| <= 1 by the
@@ -62,7 +65,7 @@ class GramMatrix:
         # times that, a factor proves that eigh would put lambda_min above
         # the floor; without one the spectrum decides.
         sigma = linalg.LAMBDA_FLOOR + 4.0 * (d + 1) * d * _EPS / 2
-        np.fill_diagonal(off, a.diagonal() - sigma)
+        off.reshape(-1)[:: d + 1] = a.diagonal() - sigma  # off's diagonal, in place
         try:
             np.linalg.cholesky(off)
         except np.linalg.LinAlgError:

@@ -55,20 +55,20 @@ def _as_real(x, what: str) -> float:
 
 def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
     """The Hermitian gate: ValueError unless m is square, non-empty and finite;
-    error if max |m_ij - conj(m_ji)| exceeds 1e-10 max(1, ||m||_F). Returns
-    m's complex Hermitian part, so roundoff-level asymmetry cannot leak on. A finite
-    ||m||_F^2 proves m finite; only a non-finite one makes the gate scan m's entries."""
+    error if max |m_ij - conj(m_ji)| exceeds 1e-10 max(1, ||m||_F). Returns m's
+    complex Hermitian part, a new array, so roundoff-level asymmetry cannot leak
+    on. ||m||_F^2 is one vdot, non-finite on overflow without a warning; a finite
+    one proves m finite, so only a non-finite one makes the gate scan m's entries."""
     a = _as_array(m, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    x = a.ravel(order="K")
-    with np.errstate(over="ignore"):
-        norm2 = float(x.real.dot(x.real) + x.imag.dot(x.imag))
+    norm2 = float(np.vdot(a, a).real)
     if math.isfinite(norm2):
         tol = 1e-10 * max(1.0, math.sqrt(norm2))
         at = a.conj().T
-        dev = float(np.abs(a - at).max())
-        part = a + at
+        part = a - at  # one buffer: m - m+, then the Hermitian part
+        dev = float(np.abs(part).max())
+        np.add(a, at, out=part)
         part *= 0.5
     elif not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")

@@ -164,14 +164,16 @@ def weights_pure(state: PureState) -> WeightDistribution:
 
 
 def _lowdin_transform(m: np.ndarray) -> np.ndarray:
-    """Unit-trace Hermitian part of a congruence m = O^{1/2} rho O^{1/2}, which is
-    scaled in place. A congruence of a PSD rho is PSD, so the result needs no
+    """Unit-trace Hermitian part of a congruence m = O^{1/2} rho O^{1/2}, formed
+    in m's own buffer. A congruence of a PSD rho is PSD, so the result needs no
     eigendecomposition to be trusted."""
     tr = float(m.trace().real)
     if tr <= _MIN_TRACE:
         raise DegenerateTrace(f"Tr(O rho) = {tr!r} is too small to normalize")
     m /= tr
-    return 0.5 * (m + m.conj().T)
+    m += m.conj().T
+    m *= 0.5
+    return m
 
 
 def lowdin_density(op: DensityOperator) -> LowdinTransformedState:
@@ -181,9 +183,14 @@ def lowdin_density(op: DensityOperator) -> LowdinTransformedState:
 
 def weights_density(op: DensityOperator) -> WeightDistribution:
     """Diagonal of op's stored rho_L; coincides with weights_pure on rank-1 projectors.
-    rho's PSD tolerance can leave a weight slightly below 0; it is clipped,
-    and the weight-sum check bounds how much may be clipped."""
-    return WeightDistribution(np.maximum(op._rho_lowdin.diagonal().real, 0.0))
+    rho's PSD tolerance can leave a weight slightly below 0; it is clipped, and
+    ValueError("weights sum to ...") bounds how much may be clipped. A clipped
+    diagonal of the finite rho_L needs none of WeightDistribution's other checks."""
+    w = np.maximum(op._rho_lowdin.diagonal().real, 0.0)
+    total = float(w.sum())
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {total!r}, not 1 within {_WEIGHT_SUM_TOL}")
+    return _derived(WeightDistribution, weights=w)
 
 
 def closed_form_2d_weights(p: float, q: float, s: float) -> WeightDistribution:
@@ -219,9 +226,9 @@ def offdiagonal_decomposition(op: DensityOperator) -> tuple[np.ndarray, np.ndarr
     """
     half, p = op.gram.sqrt, op.coeffs.diagonal()
     artifact = _lowdin_transform((half * (p / p.sum().real)) @ half)
-    np.fill_diagonal(artifact, 0.0)
+    artifact.reshape(-1)[:: op.dim + 1] = 0.0  # the diagonal, as a view of the fresh array
     genuine = op._rho_lowdin - artifact
-    np.fill_diagonal(genuine, 0.0)
+    genuine.reshape(-1)[:: op.dim + 1] = 0.0
     return artifact, genuine
 
 

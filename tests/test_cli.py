@@ -910,6 +910,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("sweep", "--spec", "density_sweep.json", "density_sweep.csv"),
     ("weights", "--state", "readme_pure.json", "readme_pure.report.json"),
     ("weights", "--state", "readme_rho.json", "readme_rho.report.json"),
+    ("weights", "--state", "complex_rho.json", "complex_rho.report.json"),
 ])
 def test_output_matches_golden_bytes(tmp_path, command, flag, source, expected):
     # Files written by an earlier version of the CLI. All are 2x2 cases, so

@@ -200,9 +200,9 @@ class TestEncoders:
         old = _basis_to_dict_old(b)
         assert new.to_json() == _to_json_old(AnalysisReport(command="basis", input=old, basis=old["vectors"]))
 
-    def test_round12_is_fmt12(self):
+    def test_round12_is_12g(self):
         for x in SPECIAL:
-            assert fileformats.round12(x) == float(fileformats.fmt12(x))
+            assert fileformats.round12(x) == float(format(x, ".12g"))
             assert fileformats.round12(fileformats.round12(x)) == fileformats.round12(x)
 
 
