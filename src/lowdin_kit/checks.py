@@ -8,11 +8,10 @@ The CLI exposes these as ``lowdin-kit paper-check``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .gram import GramMatrix
+from .linalg import _Record
 from .measures import participation_ratio, shannon_entropy
 from .ortho import BasisSet, induce_nonorthogonal, lowdin_symmetric, maximally_coherent_image
 from .states import (
@@ -28,12 +27,11 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    expected: np.ndarray
-    computed: np.ndarray
-    tol: float
+class CheckRow(_Record):
+    _fields = ("name", "expected", "computed", "tol")
+
+    def __init__(self, name: str, expected: np.ndarray, computed: np.ndarray, tol: float):
+        self.__dict__.update(name=name, expected=expected, computed=computed, tol=tol)
 
     @property
     def delta(self) -> float:

@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .fileformats import (
     parse_state,
     vector_to_pairs,
 )
-from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _as_real, _ct, _half_power
+from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _as_real, _ct, _half_power, _ValueRecord
 from .measures import _ZERO_CLAMP, measure_report
 from .ortho import OrthoMethod, gram_schmidt, lowdin_canonical, lowdin_symmetric
 from .states import (
@@ -51,30 +50,30 @@ from .states import (
     weights_pure,
 )
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(_ValueRecord):
     """Serializable record of one analysis run; unset fields are omitted
     from the JSON form, which round-trips losslessly."""
 
-    command: str
-    input: dict
-    method: str | None = None
-    order: list | None = None
-    basis: list | None = None
-    transform: list | None = None
-    distortion: float | None = None
-    orthonormality_error: float | None = None
-    lowdin_coefficients: list | None = None
-    weights: list | None = None
-    rho_lowdin: list | None = None
-    offdiagonal_artifact: list | None = None
-    offdiagonal_genuine: list | None = None
-    measures: dict | None = None
+    _fields = ("command", "input", "method", "order", "basis", "transform", "distortion", "orthonormality_error",
+               "lowdin_coefficients", "weights", "rho_lowdin", "offdiagonal_artifact", "offdiagonal_genuine",
+               "measures")
+
+    def __init__(self, command: str, input: dict, method: str | None = None, order: list | None = None,
+                 basis: list | None = None, transform: list | None = None, distortion: float | None = None,
+                 orthonormality_error: float | None = None, lowdin_coefficients: list | None = None,
+                 weights: list | None = None, rho_lowdin: list | None = None,
+                 offdiagonal_artifact: list | None = None, offdiagonal_genuine: list | None = None,
+                 measures: dict | None = None):
+        self.__dict__.update(
+            command=command, input=input, method=method, order=order, basis=basis, transform=transform,
+            distortion=distortion, orthonormality_error=orthonormality_error,
+            lowdin_coefficients=lowdin_coefficients, weights=weights, rho_lowdin=rho_lowdin,
+            offdiagonal_artifact=offdiagonal_artifact, offdiagonal_genuine=offdiagonal_genuine, measures=measures)
 
     def to_json(self) -> str:
         """Set fields in declaration order as indent-2 JSON, every float
         rounded once to 12 significant digits."""
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        values = ((name, getattr(self, name)) for name in self._fields)
         return _json_text({name: value for name, value in values if value is not None}) + "\n"
 
 
@@ -178,8 +177,7 @@ _SWEEP_DOMAINS = {
 }
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_ValueRecord):
     """Parameter sweep over the 2-d worked families, built only by
     `parse_sweep_spec`.
 
@@ -187,12 +185,10 @@ class SweepSpec:
     (pure superposition family) or {p, q, s} (density family).
     """
 
-    parameter: str
-    lo: float
-    hi: float
-    steps: int
-    fixed: dict
-    out: str | None = None
+    _fields = ("parameter", "lo", "hi", "steps", "fixed", "out")
+
+    def __init__(self, parameter: str, lo: float, hi: float, steps: int, fixed: dict, out: str | None = None):
+        self.__dict__.update(parameter=parameter, lo=lo, hi=hi, steps=steps, fixed=fixed, out=out)
 
 
 def parse_sweep_spec(obj) -> SweepSpec:

@@ -12,7 +12,6 @@ The inner product convention is conjugate-linear in the first slot:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Number
 
@@ -29,15 +28,18 @@ DIAG_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
+class GramMatrix(linalg._Record):
     """Validated overlap matrix. Immutable. One |O - I| serves the unit-diagonal
     check and the one check of |O_ij| < 1, for dense and pairwise input alike;
     one Cholesky factorization proves it positive definite, and only where that
     fails does the spectrum decide. It is diagonalized at most once, on first
     use of `eigen` or `sqrt`."""
 
-    matrix: np.ndarray
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.__dict__.update(matrix=matrix)
+        self.__post_init__()
 
     def __post_init__(self):
         if np.shape(self.matrix) in ((0, 0), (1, 1)):
@@ -98,8 +100,7 @@ def _check_dim(dim) -> None:
         raise ValueError("dim must be >= 2")
 
 
-@dataclass(frozen=True)
-class OverlapSpec:
+class OverlapSpec(linalg._ValueRecord):
     """Compact pairwise description of an overlap matrix.
 
     Pairs are (i, j, value) with 1-based integer indices i < j, matching
@@ -107,8 +108,11 @@ class OverlapSpec:
     value; unspecified pairs default to zero overlap.
     """
 
-    dim: int
-    pairs: tuple = field(default=())
+    _fields = ("dim", "pairs")
+
+    def __init__(self, dim: int, pairs: tuple = ()):
+        self.__dict__.update(dim=dim, pairs=pairs)
+        self.__post_init__()
 
     def __post_init__(self):
         _check_dim(self.dim)

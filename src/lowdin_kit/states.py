@@ -8,13 +8,12 @@ frame, where the squared magnitudes form the Lowdin weight distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateTrace, InvalidParameters, ZeroState
 from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
-from .linalg import _as_array, _as_real, _hermitian_part, hermitian_eig
+from .linalg import _as_array, _as_real, _hermitian_part, _Record, hermitian_eig
 
 _PSD_TOL, _TRACE_TOL, _WEIGHT_SUM_TOL, _NEGATIVE_WEIGHT_TOL = 1e-10, 1e-9, 1e-9, 1e-12
 # At or below these a+ O a or Tr(O^{1/2} rho O^{1/2}) is too small to normalize by.
@@ -27,7 +26,7 @@ def _frozen_array(obj, name: str, value: np.ndarray):
 
 
 def _derived(cls, **fields):
-    """Frozen dataclass cls from validated fields, set past __post_init__ and any descriptor."""
+    """Record cls from validated fields, set past its __init__, __post_init__ and any descriptor."""
     obj = object.__new__(cls)
     for value in fields.values():
         if isinstance(value, np.ndarray):
@@ -62,13 +61,15 @@ def _unit_trace_psd(m, what: str) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
+class PureState(_Record):
     """Normalized pure state: coefficients a over a basis with overlap O,
     satisfying a+ O a = 1."""
 
-    gram: GramMatrix
-    coeffs: np.ndarray
+    _fields = ("gram", "coeffs")
+
+    def __init__(self, gram: GramMatrix, coeffs: np.ndarray):
+        self.__dict__.update(gram=gram, coeffs=coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         a, norm2 = _coefficient_vector(self.coeffs, self.gram)
@@ -81,14 +82,16 @@ class PureState:
         return self.gram.dim
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(_Record):
     """Hermitian PSD coefficient matrix rho with Tr(rho) = 1 over a
     non-orthogonal basis. Its rho_L is formed once, when it is built:
     DegenerateTrace if Tr(O^{1/2} rho O^{1/2}) <= 1e-12."""
 
-    gram: GramMatrix
-    coeffs: np.ndarray
+    _fields = ("gram", "coeffs")
+
+    def __init__(self, gram: GramMatrix, coeffs: np.ndarray):
+        self.__dict__.update(gram=gram, coeffs=coeffs)
+        self.__post_init__()
 
     def __post_init__(self):
         rho = _as_array(self.coeffs, "coefficient matrix")
@@ -105,25 +108,31 @@ class DensityOperator:
         return self.gram.dim
 
 
-@dataclass(frozen=True, eq=False)
-class LowdinTransformedState:
+class LowdinTransformedState(_Record):
     """Trace-1 Hermitian PSD matrix in the orthonormal Lowdin frame. One that
     lowdin_density derives is not re-checked: it is PSD up to rho's tolerance
     carried through the congruence, lambda_min >= -1e-10 lambda_max(O) / Tr(O rho)."""
 
-    matrix: np.ndarray
+    _fields = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray):
+        self.__dict__.update(matrix=matrix)
+        self.__post_init__()
 
     def __post_init__(self):
         m = _unit_trace_psd(self.matrix, "transformed state")
         _frozen_array(self, "matrix", m)
 
 
-@dataclass(frozen=True, eq=False)
-class WeightDistribution:
+class WeightDistribution(_Record):
     """Probability vector of Lowdin weights, in its own copy. Its least and greatest
     weights prove it finite (a NaN reaches both); weights in (-1e-12, 0] are stored as +0.0."""
 
-    weights: np.ndarray
+    _fields = ("weights",)
+
+    def __init__(self, weights: np.ndarray):
+        self.__dict__.update(weights=weights)
+        self.__post_init__()
 
     def __post_init__(self):
         w = _as_array(self.weights, "weights", float, copy=True).reshape(-1)

@@ -1,10 +1,18 @@
+import enum
+import inspect
+import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lowdin_kit
+from lowdin_kit import checks, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -134,3 +142,136 @@ def test_text_and_bools_are_value_errors(entry):
     call, message = _NOT_NUMBERS[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# The package's records: each class, its constructor's parameters with their
+# defaults (EMPTY: required), a factory of valid arguments, and whether it
+# compares by value (its fields) or by identity.
+EMPTY = inspect.Parameter.empty
+
+
+def _params(*required, **defaults):
+    return [(name, EMPTY) for name in required] + list(defaults.items())
+
+
+# AnalysisReport's fields after command and input, each None unless set.
+_REPORT_OPTIONAL = dict.fromkeys(["method", "order", "basis", "transform", "distortion", "orthonormality_error",
+                                  "lowdin_coefficients", "weights", "rho_lowdin", "offdiagonal_artifact",
+                                  "offdiagonal_genuine", "measures"])
+_RECORDS = {
+    "GramMatrix": (lowdin_kit.GramMatrix, _params("matrix"), lambda: ([[1.0, 0.2], [0.2, 1.0]],), False),
+    "OverlapSpec": (lowdin_kit.OverlapSpec, _params("dim", pairs=()), lambda: (2, [(1, 2, 0.2)]), True),
+    "HermitianEigenDecomposition": (lowdin_kit.HermitianEigenDecomposition,
+                                    _params("eigenvalues", "eigenvectors"), lambda: (np.ones(2), np.eye(2)), False),
+    "MeasureReport": (lowdin_kit.MeasureReport,
+                      _params("entropy", "participation_ratio", "inverse_participation_ratio"),
+                      lambda: (1.0, 2.0, 0.5), True),
+    "BasisSet": (lowdin_kit.BasisSet, _params("vectors"), lambda: (np.eye(2),), False),
+    "OrthoResult": (lowdin_kit.OrthoResult,
+                    _params("basis", "transform", "method", "distortion", "orthonormality_error"),
+                    lambda: (lowdin_kit.BasisSet(np.eye(2)), np.eye(2), lowdin_kit.OrthoMethod.LOWDIN_SYMMETRIC,
+                             0.0, 0.0), False),
+    "PureState": (lowdin_kit.PureState, _params("gram", "coeffs"), lambda: (_G2, [1.0, 0.0]), False),
+    "DensityOperator": (lowdin_kit.DensityOperator, _params("gram", "coeffs"),
+                        lambda: (_G2, [[0.5, 0.0], [0.0, 0.5]]), False),
+    "LowdinTransformedState": (lowdin_kit.LowdinTransformedState, _params("matrix"),
+                               lambda: ([[0.5, 0.0], [0.0, 0.5]],), False),
+    "WeightDistribution": (lowdin_kit.WeightDistribution, _params("weights"), lambda: ([0.5, 0.5],), False),
+    "CheckRow": (checks.CheckRow, _params("name", "expected", "computed", "tol"),
+                 lambda: ("row", np.ones(1), np.ones(1), 1e-12), False),
+    "AnalysisReport": (cli.AnalysisReport, _params("command", "input", **_REPORT_OPTIONAL),
+                       lambda: ("weights", {"dim": 2}, None, None, None, None, None, None, None, [0.5, 0.5]), True),
+    "SweepSpec": (cli.SweepSpec, _params("parameter", "lo", "hi", "steps", "fixed", out=None),
+                  lambda: ("s", 0.1, 0.4, 7, {"gamma": 0.6}), True),
+}
+
+
+def test_every_record_is_pinned():
+    public = {name for name in lowdin_kit.__all__ if isinstance(getattr(lowdin_kit, name), type)
+              and not issubclass(getattr(lowdin_kit, name), (Exception, enum.Enum))}
+    assert public | {"CheckRow", "AnalysisReport", "SweepSpec"} == _RECORDS.keys()
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+class TestRecordContract:
+    """What a caller and the benchmark tracer rely on, record by record."""
+
+    def test_signature(self, name):
+        cls, params, _, _ = _RECORDS[name]
+        found = [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+        assert found == params
+        # The tracer times a construction by wrapping the class's own __init__.
+        assert "__init__" in vars(cls)
+
+    def test_frozen(self, name):
+        cls, params, args, _ = _RECORDS[name]
+        obj = cls(*args())
+        for field in [p for p, _ in params] + ["unknown"]:
+            with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{field}'$"):
+                setattr(obj, field, None)
+            with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{field}'$"):
+                delattr(obj, field)
+
+    def test_repr(self, name):
+        cls, params, args, _ = _RECORDS[name]
+        obj = cls(*args())
+        fields = ", ".join(f"{p}={getattr(obj, p)!r}" for p, _ in params)
+        assert repr(obj) == f"{name}({fields})"
+
+    def test_equality_and_hash(self, name):
+        cls, params, args, by_value = _RECORDS[name]
+        a, b = cls(*args()), cls(*args())
+        assert a == a and not (a != a)
+        if not by_value:
+            assert a != b and not (a == b)
+            assert hash(a) == object.__hash__(a)
+            return
+        assert a == b and not (a != b)
+        values = tuple(getattr(a, p) for p, _ in params)
+        try:
+            hash(values)
+        except TypeError as exc:  # a dict field, as a dataclass holding one
+            with pytest.raises(TypeError, match=re.escape(str(exc))):
+                hash(a)
+        else:
+            assert hash(a) == hash(b) == hash(values)
+        first = vars(a)[params[0][0]]
+        other = cls(*((first + "x" if isinstance(first, str) else first + 1),) + args()[1:])
+        assert a != other and other != a
+        assert (a == values) is False  # another type: NotImplemented both ways
+
+
+def test_decompositions_and_check_rows_compare_by_identity():
+    # Records holding arrays compare as objects; comparing their arrays
+    # elementwise raised numpy's "truth value of an array is ambiguous".
+    a, b = lowdin_kit.hermitian_eig(np.eye(2)), lowdin_kit.hermitian_eig(np.eye(2))
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
+    rows, again = checks.reference_rows(), checks.reference_rows()
+    assert rows[0] == rows[0] and rows[0] != again[0]
+    assert len(set(rows + again)) == 2 * len(rows)
+
+
+def test_cli_process_does_not_import_dataclasses(tmp_path):
+    # Decorating the package's records as dataclasses cost about 10 ms of every
+    # CLI process's start-up; the records are plain classes instead.
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "from lowdin_kit.cli import main\n"
+        "code = main(['weights', '--state', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(json.dumps([code, before, 'dataclasses' in sys.modules]))\n"
+    )
+    golden = README.parent / "tests" / "golden"
+    out = tmp_path / "report.json"
+    src = str(README.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, str(golden / "readme_pure.json"), str(out)],
+                          env=env, capture_output=True, text=True, check=True)
+    code, before, after = json.loads(done.stdout)
+    assert code == 0
+    assert out.read_bytes() == (golden / "readme_pure.report.json").read_bytes()
+    if before:
+        pytest.skip("dataclasses was imported before lowdin_kit, by numpy or a site hook")
+    assert not after
