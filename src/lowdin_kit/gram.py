@@ -46,7 +46,8 @@ class GramMatrix(linalg._Record):
             raise ValueError("overlap matrix needs dimension >= 2")
         a = linalg._hermitian_part(self.matrix, NotHermitian, "overlap matrix")
         d = a.shape[0]
-        off = a - np.eye(d)  # O - I; later the Cholesky operand O - sigma I
+        off = a.copy()  # O - I; later the Cholesky operand O - sigma I
+        off.reshape(-1)[:: d + 1] -= 1
         mags = np.abs(off)  # |O - I|, for both scans
         diag_dev = float(mags.diagonal().max())
         if diag_dev > DIAG_TOL:
@@ -144,17 +145,21 @@ def gram_from_vectors(basis) -> GramMatrix:
     Accepts a BasisSet or a plain (ambient_dim x d) array of columns.
     Raises ValueError for non-finite entries, NotNormalized for non-unit
     columns and LinearlyDependent when the columns are numerically dependent.
+    The column norms are read from O's diagonal, sqrt(O_kk), equal to a directly
+    summed norm to rounding, not bit for bit; C's entries are scanned only where
+    one is non-finite, as a non-finite entry makes it.
     """
     cols = linalg._as_array(getattr(basis, "vectors", basis), "basis vectors")
     if cols.ndim != 2:
         raise ValueError(f"expected a 2-d array of column vectors, got shape {cols.shape}")
-    if not np.isfinite(cols).all():
-        raise ValueError("basis vectors contain non-finite entries")
-    norms = np.linalg.norm(cols, axis=0)
+    with np.errstate(all="ignore"):  # a non-finite O is refused below
+        overlap = cols.conj().T @ cols
+    norms = np.sqrt(overlap.diagonal().real)
     worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-    if worst > UNIT_NORM_TOL:
+    if not worst <= UNIT_NORM_TOL:  # NaN too
+        if not np.isfinite(worst) and not np.isfinite(cols).all():
+            raise ValueError("basis vectors contain non-finite entries")
         raise NotNormalized(f"a basis column deviates from unit norm by {worst:.3e}")
-    overlap = cols.conj().T @ cols
     try:
         return GramMatrix(overlap)
     except NotPositiveDefinite as exc:

@@ -78,14 +78,18 @@ class OrthoResult(_Record):
 
 
 def _result(basis: BasisSet, transform: np.ndarray, method: OrthoMethod) -> OrthoResult:
-    """Form an engine's output columns E = C T and check them once, from
-    one E+ E. A failure is the engine's loss of orthonormality, not a fault
-    of the validated input, so it is reported with the input's
-    conditioning."""
+    """Form an engine's output columns E = C T and check them once, from one
+    E+ E: the residual is its Hermitian part less I, the column norms are
+    sqrt((E+ E)_kk) (a directly summed norm to rounding, not bit for bit). A
+    failure is the engine's loss of orthonormality, not a fault of the validated
+    input, so it is reported with the input's conditioning."""
     out = basis.vectors @ transform
     g = out.conj().T @ out
-    residual = float(np.linalg.norm(0.5 * (g + g.conj().T) - np.eye(out.shape[1])))
-    deviation = float(np.max(np.abs(np.linalg.norm(out, axis=0) - 1.0)))
+    deviation = float(np.max(np.abs(np.sqrt(g.diagonal().real) - 1.0)))
+    g += g.conj().T  # in place, then halved and less I: the residual
+    g *= 0.5
+    g.reshape(-1)[:: out.shape[1] + 1] -= 1
+    residual = float(np.linalg.norm(g))
     if not (residual <= _ORTHONORMALITY_TOL and deviation <= UNIT_NORM_TOL):  # NaN fails too
         lam = basis.gram.eigen.eigenvalues
         raise InvalidParameters(
@@ -100,8 +104,6 @@ def _result(basis: BasisSet, transform: np.ndarray, method: OrthoMethod) -> Orth
 
 
 def _resolve_order(d: int, order) -> np.ndarray:
-    if order is None:
-        return np.arange(d)
     raw = np.asarray(order)
     if (
         raw.dtype.kind not in "iuf"
@@ -119,13 +121,16 @@ def _upper_inverse(r: np.ndarray) -> np.ndarray:
     """R^{-1} of an upper-triangular R with nonzero diagonal, by blocks
     (Higham, Accuracy and Stability, 2nd ed., ch. 14): one stacked solve
     inverts the b x b diagonal blocks of R, padded with the identity to a
-    multiple of b, and from the bottom up each block row is filled by GEMMs,
-    X_i,>i = -X_ii R_i,>i X_>i,>i. For d <= b this is solve(R, I)."""
+    multiple of b where d is not one, and from the bottom up each block row is
+    filled by GEMMs, X_i,>i = -X_ii R_i,>i X_>i,>i, into a new d x d array.
+    For d <= b this is solve(R, I)."""
     d = r.shape[0]
     b = min(_INVERSE_BLOCK, d)
     m = -(-d // b) * b
-    padded = np.eye(m, dtype=r.dtype)
-    padded[:d, :d] = r
+    padded = r
+    if m > d:
+        padded = np.eye(m, dtype=r.dtype)
+        padded[:d, :d] = r
     blocks = np.stack([padded[k:k + b, k:k + b] for k in range(0, m, b)])
     inverses = np.linalg.solve(blocks, np.broadcast_to(np.eye(b), blocks.shape))
     x = np.zeros_like(padded)
@@ -133,7 +138,7 @@ def _upper_inverse(r: np.ndarray) -> np.ndarray:
         s, t = slice(i * b, (i + 1) * b), slice((i + 1) * b, m)
         x[s, s] = inverses[i]
         x[s, t] = inverses[i] @ -(padded[s, t] @ x[t, t])
-    return x[:d, :d]
+    return x if m == d else x[:d, :d].copy()
 
 
 def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
@@ -146,16 +151,16 @@ def gram_schmidt(basis: BasisSet, order=None) -> OrthoResult:
     from a blocked triangular inverse, and E = C T, orthonormal to order
     u kappa(C) (u the unit round-off).
     """
-    idx = _resolve_order(basis.num_vectors, order)
-    r = np.linalg.qr(basis.vectors[:, idx], mode="r")
+    idx = None if order is None else _resolve_order(basis.num_vectors, order)
+    r = np.linalg.qr(basis.vectors if idx is None else basis.vectors[:, idx], mode="r")
     # |R_kk| is column k's residual norm, >= sigma_min(C) > 1e-6 on a validated
     # basis. Dividing row k by the phase of R_kk (+-1: LAPACK leaves diag(R)
     # real) gives Gram-Schmidt's R.
     r /= (np.diagonal(r) / np.abs(np.diagonal(r)))[:, None]
-    # C[:, idx] = E R, so E = C T with the rows of T = R^{-1} put back in
-    # input order.
-    transform = np.empty_like(r)
-    transform[idx] = _upper_inverse(r)
+    transform = _upper_inverse(r)
+    if idx is not None:
+        # C[:, idx] = E R, so E = C T with the rows of T = R^{-1} put back in input order.
+        transform = transform[np.argsort(idx)]
     return _result(basis, transform, OrthoMethod.GRAM_SCHMIDT)
 
 

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -57,12 +58,30 @@ class TestGramFromVectors:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
     def test_rejects_non_finite_columns(self, bad):
-        # Checked before the column norms, which a NaN passes (nan > tol is
-        # False) and an inf turns into a deviation of inf.
+        # A non-finite entry makes its column's diagonal entry of C+ C, and so
+        # its norm, non-finite; only then is C scanned, to name the entries.
         cols = np.array([[1.0, 0.0], [bad, 1.0]])
         for build in (gram_from_vectors, BasisSet):
             with pytest.raises(ValueError, match="^basis vectors contain non-finite entries$"):
                 build(cols)
+
+    @pytest.mark.parametrize("cols, error, message", [
+        # finite, but every norm overflows
+        (np.full((3, 2), 1e200), NotNormalized, "a basis column deviates from unit norm by inf"),
+        # an overflowing norm beside an infinite entry
+        (np.column_stack([np.full(3, 1e200), [np.inf, 0, 0]]), ValueError,
+         "basis vectors contain non-finite entries"),
+        # just outside the 1e-10 tolerance
+        (np.column_stack([[1.0, 0, 0], [0, 1 + 2e-10, 0]]), NotNormalized,
+         "a basis column deviates from unit norm by 2.000e-10"),
+        (np.column_stack([[1.0, 0, 0], [0, 0, 0]]), NotNormalized,
+         "a basis column deviates from unit norm by 1.000e+00"),
+    ], ids=["1e200", "1e200-inf", "norm-1+2e-10", "zero-column"])
+    def test_column_verdicts_raise_no_numpy_warning(self, cols, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # none escapes the product C+ C
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                gram_from_vectors(cols)
 
     def test_conjugation_convention(self):
         # O_12 = <c_1|c_2> = c_1+ c_2, conjugate-linear in the first slot
