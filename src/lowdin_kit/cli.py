@@ -8,7 +8,9 @@ Commands:
 
 Exit codes: 0 ok, 1 reference-check failure, 2 input/parse error,
 3 math-domain error. Indices and orders in files and flags are 1-based;
-outputs are deterministic (fixed field order, 12 significant digits).
+outputs are deterministic (fixed field order, 12 significant digits): the
+same input gives the same bytes on the same numpy and BLAS build with the
+same BLAS thread count (README shows a d=256 case that differs across counts).
 """
 
 from __future__ import annotations
@@ -116,12 +118,10 @@ def cmd_orthogonalize(args) -> int:
     if args.order is not None and args.method != OrthoMethod.GRAM_SCHMIDT.value:
         raise ValueError("--order applies only to method gram-schmidt")
     if args.method == OrthoMethod.GRAM_SCHMIDT.value:
-        order = (
-            _parse_order_flag(args.order, basis.num_vectors)
-            if args.order is not None
-            else list(range(1, basis.num_vectors + 1))
-        )
-        result = gram_schmidt(basis, [k - 1 for k in order])
+        n = basis.num_vectors
+        order = list(range(1, n + 1)) if args.order is None else _parse_order_flag(args.order, n)
+        # Without --order the engine takes its natural order and permutes nothing.
+        result = gram_schmidt(basis, None if args.order is None else [k - 1 for k in order])
     else:
         order = None
         result = _METHODS[args.method](basis)

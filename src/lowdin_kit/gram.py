@@ -38,13 +38,9 @@ class GramMatrix(linalg._Record):
     _fields = ("matrix",)
 
     def __init__(self, matrix: np.ndarray):
-        self.__dict__.update(matrix=matrix)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if np.shape(self.matrix) in ((0, 0), (1, 1)):
+        if np.shape(matrix) in ((0, 0), (1, 1)):
             raise ValueError("overlap matrix needs dimension >= 2")
-        a = linalg._hermitian_part(self.matrix, NotHermitian, "overlap matrix")
+        a = linalg._hermitian_part(matrix, NotHermitian, "overlap matrix")
         d = a.shape[0]
         off = a.copy()  # O - I; later the Cholesky operand O - sigma I
         off.reshape(-1)[:: d + 1] -= 1
@@ -59,8 +55,7 @@ class GramMatrix(linalg._Record):
                 f"an off-diagonal overlap has magnitude >= 1: |O_ij| = {mags[i, j]:.6g} at ({i + 1}, {j + 1})"
             )
         del mags  # freed before the Cholesky, which holds O - sigma I and its factor
-        a.setflags(write=False)
-        object.__setattr__(self, "matrix", a)
+        self._store({"matrix": a})  # before the Cholesky: its fallback, self.eigen, reads it
         # A computed Cholesky factor of O - sigma I (|entries| <= 1 by the
         # scan above) is exact for a perturbation of 2-norm <= (d+1) d u
         # (Higham, Accuracy and Stability, 2nd ed., Thm 10.3), and eigh's
@@ -112,13 +107,9 @@ class OverlapSpec(linalg._ValueRecord):
     _fields = ("dim", "pairs")
 
     def __init__(self, dim: int, pairs: tuple = ()):
-        self.__dict__.update(dim=dim, pairs=pairs)
-        self.__post_init__()
-
-    def __post_init__(self):
-        _check_dim(self.dim)
-        pairs = []
-        for pair in self.pairs:
+        _check_dim(dim)
+        checked = []
+        for pair in pairs:
             if not isinstance(pair, (tuple, list)) or len(pair) != 3:
                 raise ValueError(f"overlap pair {pair!r} must be (i, j, value)")
             if not all(_is_integer(k) for k in pair[:2]):
@@ -126,17 +117,17 @@ class OverlapSpec(linalg._ValueRecord):
             if not isinstance(pair[2], Number) or isinstance(pair[2], bool):
                 raise ValueError(f"overlap pair {pair!r} needs a numeric value")
             try:
-                pairs.append((int(pair[0]), int(pair[1]), complex(pair[2])))
+                checked.append((int(pair[0]), int(pair[1]), complex(pair[2])))
             except OverflowError:
                 raise ValueError(f"overlap pair {pair!r} needs a value within float range") from None
         seen = set()
-        for i, j, v in pairs:
-            if not (1 <= i < j <= self.dim):
-                raise ValueError(f"pair indices ({i}, {j}) out of range for dim {self.dim}")
+        for i, j, v in checked:
+            if not (1 <= i < j <= dim):
+                raise ValueError(f"pair indices ({i}, {j}) out of range for dim {dim}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate overlap pair ({i}, {j})")
             seen.add((i, j))
-        object.__setattr__(self, "pairs", tuple(pairs))
+        self._store({"dim": dim, "pairs": tuple(checked)})
 
 
 def gram_from_vectors(basis) -> GramMatrix:

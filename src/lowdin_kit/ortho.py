@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters, UnsupportedDimension
 from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
-from .linalg import _as_array, _half_power, _Record
-from .states import PureState, _derived, _frozen_array
+from .linalg import _as_array, _derived, _half_power, _Record
+from .states import PureState
 
 _ORTHONORMALITY_TOL = 1e-8
 # Block size of gram_schmidt's triangular inverse.
@@ -37,18 +37,14 @@ class BasisSet(_Record):
     _fields = ("vectors",)
 
     def __init__(self, vectors: np.ndarray):
-        self.__dict__.update(vectors=vectors)
-        self.__post_init__()
-
-    def __post_init__(self):
-        v = _as_array(self.vectors, "basis vectors")
+        v = _as_array(vectors, "basis vectors")
         if v.ndim != 2 or v.shape[1] < 1:
             raise ValueError(f"expected a matrix of column vectors, got shape {v.shape}")
         if v.shape[0] < v.shape[1]:
             raise ValueError(
                 f"{v.shape[1]} vectors cannot be independent in ambient dimension {v.shape[0]}"
             )
-        _frozen_array(self, "vectors", v.copy())
+        self._store({"vectors": v.copy()})
         self.gram  # unit-norm and independence validation
 
     @cached_property

@@ -13,26 +13,11 @@ import numpy as np
 
 from .errors import DegenerateTrace, InvalidParameters, ZeroState
 from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
-from .linalg import _as_array, _as_real, _hermitian_part, _Record, hermitian_eig
+from .linalg import _as_array, _as_real, _derived, _hermitian_part, _Record, hermitian_eig
 
 _PSD_TOL, _TRACE_TOL, _WEIGHT_SUM_TOL, _NEGATIVE_WEIGHT_TOL = 1e-10, 1e-9, 1e-9, 1e-12
 # At or below these a+ O a or Tr(O^{1/2} rho O^{1/2}) is too small to normalize by.
 _MIN_NORM2, _MIN_TRACE = 1e-24, 1e-12
-
-
-def _frozen_array(obj, name: str, value: np.ndarray):
-    value.setflags(write=False)
-    object.__setattr__(obj, name, value)
-
-
-def _derived(cls, **fields):
-    """Record cls from validated fields, set past its __init__, __post_init__ and any descriptor."""
-    obj = object.__new__(cls)
-    for value in fields.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    vars(obj).update(fields)
-    return obj
 
 
 def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
@@ -68,14 +53,10 @@ class PureState(_Record):
     _fields = ("gram", "coeffs")
 
     def __init__(self, gram: GramMatrix, coeffs: np.ndarray):
-        self.__dict__.update(gram=gram, coeffs=coeffs)
-        self.__post_init__()
-
-    def __post_init__(self):
-        a, norm2 = _coefficient_vector(self.coeffs, self.gram)
+        a, norm2 = _coefficient_vector(coeffs, gram)
         if abs(norm2 - 1.0) > _TRACE_TOL:
             raise ValueError(f"state norm a+Oa = {norm2!r} is not 1 within {_TRACE_TOL}")
-        _frozen_array(self, "coeffs", a)
+        self._store({"gram": gram, "coeffs": a})
 
     @property
     def dim(self) -> int:
@@ -90,18 +71,13 @@ class DensityOperator(_Record):
     _fields = ("gram", "coeffs")
 
     def __init__(self, gram: GramMatrix, coeffs: np.ndarray):
-        self.__dict__.update(gram=gram, coeffs=coeffs)
-        self.__post_init__()
-
-    def __post_init__(self):
-        rho = _as_array(self.coeffs, "coefficient matrix")
-        d = self.gram.dim
+        rho = _as_array(coeffs, "coefficient matrix")
+        d = gram.dim
         if rho.shape != (d, d):
             raise ValueError(f"coefficient matrix shape {rho.shape} != ({d}, {d})")
         rho = _unit_trace_psd(rho, "coefficient matrix")
-        _frozen_array(self, "coeffs", rho)
-        half = self.gram.sqrt
-        _frozen_array(self, "_rho_lowdin", _lowdin_transform(half @ rho @ half))
+        half = gram.sqrt
+        self._store({"gram": gram, "coeffs": rho, "_rho_lowdin": _lowdin_transform(half @ rho @ half)})
 
     @property
     def dim(self) -> int:
@@ -116,12 +92,7 @@ class LowdinTransformedState(_Record):
     _fields = ("matrix",)
 
     def __init__(self, matrix: np.ndarray):
-        self.__dict__.update(matrix=matrix)
-        self.__post_init__()
-
-    def __post_init__(self):
-        m = _unit_trace_psd(self.matrix, "transformed state")
-        _frozen_array(self, "matrix", m)
+        self._store({"matrix": _unit_trace_psd(matrix, "transformed state")})
 
 
 class WeightDistribution(_Record):
@@ -131,11 +102,7 @@ class WeightDistribution(_Record):
     _fields = ("weights",)
 
     def __init__(self, weights: np.ndarray):
-        self.__dict__.update(weights=weights)
-        self.__post_init__()
-
-    def __post_init__(self):
-        w = _as_array(self.weights, "weights", float, copy=True).reshape(-1)
+        w = _as_array(weights, "weights", float, copy=True).reshape(-1)
         lo, hi = (float(w.min()), float(w.max())) if w.size else (math.nan, math.nan)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("weights must be a non-empty finite vector")
@@ -145,7 +112,7 @@ class WeightDistribution(_Record):
         total = float(w.sum())
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, not 1 within {_WEIGHT_SUM_TOL}")
-        _frozen_array(self, "weights", w)
+        self._store({"weights": w})
 
     def __len__(self) -> int:
         return self.weights.shape[0]

@@ -101,6 +101,21 @@ class TestOrthogonalize:
         assert outputs[0]["order"] == [1, 2]
         assert outputs[1]["order"] == [2, 1]
 
+    def test_gram_schmidt_without_order_takes_natural_order(self, capsys, monkeypatch, plane_basis_file):
+        argv = ["orthogonalize", "--basis", plane_basis_file, "--method", "gram-schmidt"]
+        _, explicit, _ = run_cli(capsys, argv + ["--order", "1,2"])
+        orders, engine = [], cli.gram_schmidt
+
+        def spy(basis, order=None):
+            orders.append(order)
+            return engine(basis, order)
+
+        monkeypatch.setattr(cli, "gram_schmidt", spy)
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, orders) == (0, [None])  # no identity permutation for the engine to apply
+        assert out == explicit
+        assert json.loads(out)["order"] == [1, 2]
+
     def test_order_rejected_for_lowdin(self, capsys, plane_basis_file):
         code, _, err = run_cli(
             capsys,

@@ -94,9 +94,9 @@ class TestMeasureReport:
         built = []
 
         class Counted(WeightDistribution):
-            def __post_init__(self):
+            def __init__(self, weights):
                 built.append(self)
-                super().__post_init__()
+                super().__init__(weights)
 
         monkeypatch.setattr(measures, "WeightDistribution", Counted)
         r = measure_report([0.66, 0.34])

@@ -241,6 +241,39 @@ class TestRecordContract:
         assert (a == values) is False  # another type: NotImplemented both ways
 
 
+def test_no_record_has_a_second_construction_phase():
+    assert [name for name, (cls, *_) in _RECORDS.items() if hasattr(cls, "__post_init__")] == []
+
+
+# The validating records, with arguments whose arrays are writeable arrays the
+# caller keeps (complex or float already, so that no dtype conversion copies them).
+_VALIDATING = {
+    "GramMatrix": lambda: (np.array([[1.0, 0.2], [0.2, 1.0]], dtype=complex),),
+    "OverlapSpec": lambda: (2, [(1, 2, 0.2)]),
+    "BasisSet": lambda: (np.eye(2, dtype=complex),),
+    "PureState": lambda: (_G2, np.array([1.0, 0.0], dtype=complex)),
+    "DensityOperator": lambda: (_G2, np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)),
+    "LowdinTransformedState": lambda: (np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex),),
+    "WeightDistribution": lambda: (np.array([0.5, 0.5]),),
+}
+
+
+@pytest.mark.parametrize("name", _VALIDATING)
+def test_validating_records_store_read_only_fields_of_their_own(name):
+    args = _VALIDATING[name]()
+    obj = _RECORDS[name][0](*args)
+    caller = [a for a in args if isinstance(a, np.ndarray)]
+    stored = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+    assert len(stored) == len(caller) + (name == "DensityOperator")  # and its rho_L
+    for value in stored:
+        assert not value.flags.writeable
+        assert not any(np.shares_memory(value, a) for a in caller)
+    assert all(a.flags.writeable for a in caller)
+    for field, arg in zip(obj._fields, args):
+        if isinstance(arg, (np.ndarray, list)):
+            assert vars(obj)[field] is not arg
+
+
 def test_decompositions_and_check_rows_compare_by_identity():
     # Records holding arrays compare as objects; comparing their arrays
     # elementwise raised numpy's "truth value of an array is ambiguous".
