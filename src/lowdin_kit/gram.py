@@ -1,11 +1,13 @@
 """Overlap (Gram) matrices of non-orthogonal basis sets.
 
 A GramMatrix is Hermitian positive definite with unit diagonal. Past the
-gate every Hermitian input passes (linalg._hermitian_part) it checks the
-overlap rules, and one Cholesky factorization, with an eigendecomposition
-only where that fails, proves it positive definite. Its one eigendecomposition
-is computed only when something needs it; the cached O^{1/2} and the
-O^{-1/2} of the symmetric Lowdin engine derive from it.
+gate every Hermitian input passes where it enters (linalg._hermitian_part)
+it checks the overlap rules, and one Cholesky factorization, with an
+eigendecomposition only where that fails, proves it positive definite. Its
+one eigendecomposition is computed only when something needs it, of the
+gate's own output, which is gated again only where that might change its
+bytes (linalg.hermitian_eig); the cached O^{1/2} and the O^{-1/2} of the
+symmetric Lowdin engine derive from it.
 The inner product convention is conjugate-linear in the first slot:
 ``O_ij = <c_i | c_j> = c_i+ c_j``.
 """
@@ -75,7 +77,7 @@ class GramMatrix(linalg._Record):
 
     @cached_property
     def eigen(self) -> linalg.HermitianEigenDecomposition:
-        return linalg.hermitian_eig(self.matrix)
+        return linalg.hermitian_eig(self.matrix, _gated=True)
 
     @cached_property
     def sqrt(self) -> np.ndarray:
@@ -108,6 +110,10 @@ class OverlapSpec(linalg._ValueRecord):
 
     def __init__(self, dim: int, pairs: tuple = ()):
         _check_dim(dim)
+        try:
+            pairs = iter(pairs)
+        except TypeError:
+            raise ValueError(f"overlap pairs must be an iterable of (i, j, value), got {pairs!r}") from None
         checked = []
         for pair in pairs:
             if not isinstance(pair, (tuple, list)) or len(pair) != 3:

@@ -2,7 +2,10 @@
 
 Thin layer over LAPACK (via numpy): eigendecomposition, the +-1/2 matrix
 powers, the eigenvalue-floor check that words rejections, and the one gate
-every Hermitian input passes, Gram and density matrices alike. All pure.
+every Hermitian input passes, Gram and density matrices alike, where it
+enters. The Gram's eigendecomposition and rho's PSD check diagonalize the
+gate's own output through hermitian_eig(..., _gated=True), which gates it a
+second time only where that pass might change its bytes. All pure.
 """
 
 from __future__ import annotations
@@ -168,15 +171,23 @@ def _half_power(eig: HermitianEigenDecomposition, exponent: float) -> np.ndarray
     return 0.5 * (powered + _ct(powered))
 
 
-def hermitian_eig(m) -> HermitianEigenDecomposition:
+def hermitian_eig(m, *, _gated: bool = False) -> HermitianEigenDecomposition:
     """Diagonalize a Hermitian matrix.
 
     Raises NotHermitian if the input deviates from Hermiticity beyond
     tolerance, and ConvergenceFailure if the underlying solver gives up.
     The returned eigenvalues are sorted ascending and the eigenvector
     matrix is unitary.
+
+    The package's own callers pass _gated=True with a matrix the gate has
+    already returned. Where its Frobenius norm is finite and no entry has a
+    zero real part, a second pass through the gate would return it bit for
+    bit, so it is diagonalized as it is. Elsewhere the gate's complex halving
+    may have left the sign of a zero that a second pass flips, and eigh reads
+    those signs, so it passes the gate again.
     """
-    sym = _hermitian_part(m)
+    skip = _gated and m.real.all() and math.isfinite(float(np.vdot(m, m).real))
+    sym = m if skip else _hermitian_part(m)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:

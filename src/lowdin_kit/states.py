@@ -20,8 +20,14 @@ _PSD_TOL, _TRACE_TOL, _WEIGHT_SUM_TOL, _NEGATIVE_WEIGHT_TOL = 1e-10, 1e-9, 1e-9,
 _MIN_NORM2, _MIN_TRACE = 1e-24, 1e-12
 
 
+def _check_gram(gram) -> None:
+    if not isinstance(gram, GramMatrix):
+        raise ValueError(f"gram must be a GramMatrix, got {type(gram).__name__}")
+
+
 def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
     """Complex copy a of raw, one finite entry per basis vector, and a finite a+ O a."""
+    _check_gram(gram)
     a = _as_array(raw, "state coefficients", copy=True).reshape(-1)
     if a.shape[0] != gram.dim:
         raise ValueError(f"coefficient length {a.shape[0]} != overlap dimension {gram.dim}")
@@ -34,13 +40,15 @@ def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
 
 
 def _unit_trace_psd(m, what: str) -> np.ndarray:
-    """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0."""
+    """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0.
+    The PSD check diagonalizes the gate's output with hermitian_eig(_gated=True),
+    which gates it again only where that might change its bytes."""
     m = _hermitian_part(m, InvalidParameters, what)
     with np.errstate(over="ignore"):  # an overflowing trace is refused as inf
         tr = float(m.trace().real)
     if abs(tr - 1.0) > _TRACE_TOL:
         raise InvalidParameters(f"{what} trace {tr!r} is not 1 within {_TRACE_TOL}")
-    lam_min = float(hermitian_eig(m).eigenvalues[0])
+    lam_min = float(hermitian_eig(m, _gated=True).eigenvalues[0])
     if lam_min < -_PSD_TOL:
         raise InvalidParameters(f"{what} has eigenvalue {lam_min:.3e} below -{_PSD_TOL:.0e}")
     return m
@@ -71,6 +79,7 @@ class DensityOperator(_Record):
     _fields = ("gram", "coeffs")
 
     def __init__(self, gram: GramMatrix, coeffs: np.ndarray):
+        _check_gram(gram)
         rho = _as_array(coeffs, "coefficient matrix")
         d = gram.dim
         if rho.shape != (d, d):

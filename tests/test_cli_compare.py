@@ -20,11 +20,39 @@ def test_write_run_compare(tmp_path):
     names = ["weights.d2.dense.rho.full", "ortho.bad.text", "sweep.out_field"]
     assert _tool("run", corpus, ROOT / "src", records, *names).returncode == 0
     run = json.loads(records.read_text())
-    assert sorted(run) == sorted(names)
+    assert sorted(run["commands"]) == sorted(names)
+    assert sorted(run["environment"]) == ["blas", "blas_threads", "numpy"]
     assert _tool("compare", records, records).returncode == 0
-    run[names[0]]["stdout"] = "0" * 64
+    run["commands"][names[0]]["stdout"] = "0" * 64
     changed = tmp_path / "changed.json"
     changed.write_text(json.dumps(run))
     result = _tool("compare", records, changed)
     assert result.returncode == 1
     assert result.stdout.startswith(f"{names[0]}: stdout differ")
+
+
+def test_compare_refuses_runs_from_different_environments(tmp_path):
+    # Bytes may differ across numpy, BLAS or thread count whatever the code,
+    # so such records are not compared at all, even where every hash matches.
+    corpus, records = tmp_path / "corpus", tmp_path / "records.json"
+    assert _tool("write", corpus).returncode == 0
+    assert _tool("run", corpus, ROOT / "src", records, "weights.d2.dense.pure").returncode == 0
+    run = json.loads(records.read_text())
+    for key, value in (("blas_threads", "2"), ("numpy", "0.0"), ("blas", "other")):
+        other = tmp_path / f"other_{key}.json"
+        other.write_text(json.dumps(dict(run, environment=dict(run["environment"], **{key: value}))))
+        result = _tool("compare", records, other)
+        assert result.returncode == 1
+        assert result.stderr.startswith("refused: the runs' environments differ")
+        assert result.stdout == ""
+    del run["environment"]
+    other = tmp_path / "other_none.json"
+    other.write_text(json.dumps(run))
+    assert _tool("compare", other, records).returncode == 1
+
+
+def test_corpus_covers_d256_orthogonalize(tmp_path):
+    assert _tool("write", tmp_path).returncode == 0
+    names = {c["name"] for c in json.loads((tmp_path / "commands.json").read_text())["commands"]}
+    assert {"ortho.d256.gram-schmidt", "ortho.d256.lowdin-sym", "ortho.d256.lowdin-can",
+            "ortho.d256.gs.order"} <= names

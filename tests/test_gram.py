@@ -154,6 +154,13 @@ class TestGramFromOverlaps:
         with pytest.raises(ValueError, match=re.escape(f"overlap pair {pair!r} {problem}")):
             OverlapSpec(3, [pair])
 
+    @pytest.mark.parametrize("pairs", [None, 5, 0.3])
+    def test_spec_rejects_pairs_that_are_not_iterable(self, pairs):
+        # These raised TypeError from the loop over pairs.
+        with pytest.raises(ValueError, match=re.escape(
+                f"overlap pairs must be an iterable of (i, j, value), got {pairs!r}")):
+            OverlapSpec(2, pairs)
+
     def test_spec_accepts_any_numeric_value(self):
         spec = OverlapSpec(3, [(1, 2, 0), [1, 3, np.float32(0.25)], (2, 3, 0.1j)])
         assert spec.pairs == ((1, 2, 0j), (1, 3, 0.25 + 0j), (2, 3, 0.1j))

@@ -2,17 +2,23 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from conftest import corpus_rng, random_unitary
+from conftest import CORPUS_SEED, corpus_rng, random_unitary
 from lowdin_kit import (
+    BasisSet,
     DensityOperator,
     GramMatrix,
     InvalidParameters,
     NotHermitian,
     NotPositiveDefinite,
     hermitian_eig,
+    linalg,
+    lowdin_symmetric,
+    states,
 )
-from lowdin_kit.linalg import _check_floor, _half_power
+from lowdin_kit.linalg import _check_floor, _half_power, _hermitian_part
 from lowdin_kit.states import LowdinTransformedState
 
 EPS = np.finfo(float).eps
@@ -239,3 +245,89 @@ class TestConditionNumber:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             _check_floor(hermitian_eig(np.array([[1.0, 0.0], [0.0, -1.0]])))
+
+
+def gate_input(kind: str, d: int, rng) -> np.ndarray:
+    """A d x d matrix of one class the gate accepts, built from C+C."""
+    c = rng.standard_normal((d + 2, d)) + 1j * rng.standard_normal((d + 2, d))
+    m = c.conj().T @ c
+    if kind == "rank-deficient density":
+        x = c[:d, : max(1, d // 3)]
+        m = x @ x.conj().T
+        return m / m.trace().real
+    if kind == "signed zeros":
+        mask = rng.random((d, d)) < 0.3
+        zeros = rng.choice([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)], size=(d, d))
+        return np.where(mask | mask.T, zeros, m)
+    if kind == "overflowing norm":
+        return m * 1e200
+    if kind == "subnormal entries":
+        return m * 1e-310
+    if kind == "real":
+        return m.real
+    return m
+
+
+def refused(build, m):
+    with pytest.raises(InvalidParameters, match="has eigenvalue"):
+        build(m)
+
+
+class TestGateOnce:
+    """The Gram's eigendecomposition and rho's PSD check diagonalize the gate's
+    own output through hermitian_eig(..., _gated=True), which skips a second
+    pass where that pass would return the matrix bit for bit."""
+
+    @seed(CORPUS_SEED)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(kind=st.sampled_from(["C+C", "rank-deficient density", "signed zeros", "overflowing norm",
+                                 "subnormal entries", "real"]),
+           d=st.integers(1, 64), draw=st.integers(0, 2**32 - 1))
+    def test_gated_path_keeps_every_byte(self, kind, d, draw):
+        g = _hermitian_part(gate_input(kind, d, np.random.default_rng(draw)))
+        again = _hermitian_part(g)
+        assert np.array_equal(again, g)  # in value; the sign of a zero may differ
+        if g.real.all() and np.isfinite(np.vdot(g, g).real):
+            assert again.tobytes() == g.tobytes()
+        gated, public = hermitian_eig(g, _gated=True), hermitian_eig(g)
+        assert gated.eigenvalues.tobytes() == public.eigenvalues.tobytes()
+        assert gated.eigenvectors.tobytes() == public.eigenvectors.tobytes()
+
+    def test_gate_output_is_not_always_its_own_fixed_point(self):
+        # Halving by complex multiplication, x * (0.5 + 0j), gives a zero real
+        # part the sign of -0 - (im * 0): (-0, 0.1) comes back as (+0, 0.1), and
+        # eigh's Householder steps read that sign.
+        m = np.array([[1.0, complex(-0.0, -0.1)], [complex(-0.0, 0.1), 1.0]])
+        g = _hermitian_part(m)
+        assert np.signbit(g[1, 0].real) and not np.signbit(_hermitian_part(g)[1, 0].real)
+        # Where ||m||_F overflows the gate halves each entry before adding, so
+        # an odd multiple of 2**-1074 rounds away on a second pass.
+        m = np.diag([1e200, -1e200, 1.0]).astype(complex)
+        m[0, 2] = 1e-323
+        g = _hermitian_part(m)
+        assert g[0, 2] == 5e-324 and _hermitian_part(g)[0, 2] == 0.0
+
+    @pytest.mark.parametrize("build, gates", [
+        (lambda: GramMatrix(two_level_overlap(0.5)).eigen, 1),
+        (lambda: DensityOperator(GramMatrix(two_level_overlap(0.5)), [[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]), 2),
+        (lambda: LowdinTransformedState([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]), 1),
+        (lambda: lowdin_symmetric(BasisSet(np.array([[1.0, 0.6], [0.0, 0.8]]))), 1),
+        (lambda: hermitian_eig(two_level_overlap(0.5)), 1),
+        # A zero real part, or an overflowing ||m||_F: the gate's output is gated again.
+        (lambda: GramMatrix(np.eye(2)).eigen, 2),
+        (lambda: DensityOperator(GramMatrix(two_level_overlap(0.5)), [[0.6, 0.2j], [-0.2j, 0.4]]), 3),
+        (lambda: refused(LowdinTransformedState, [[1e200, 1, 1], [1, -1e200, 1], [1, 1, 1]]), 2),
+    ], ids=["GramMatrix.eigen", "DensityOperator", "LowdinTransformedState", "lowdin_symmetric",
+            "hermitian_eig", "GramMatrix.eigen, zero real part", "DensityOperator, zero real part",
+            "LowdinTransformedState, overflowing norm"])
+    def test_gate_passes_per_matrix(self, monkeypatch, build, gates):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _hermitian_part(*args)
+
+        monkeypatch.setattr(linalg, "_hermitian_part", counted)
+        monkeypatch.setattr(states, "_hermitian_part", counted)
+        build()
+        assert len(calls) == gates

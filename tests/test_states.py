@@ -453,6 +453,19 @@ class TestDensityOperatorValidation:
             DensityOperator(overlap2(1 - 1e-11), np.array([[0.5, q], [q, 0.5]]))
 
 
+class TestGramArgument:
+    @pytest.mark.parametrize("build", [
+        lambda g: PureState(g, [1.0, 0.0]),
+        lambda g: normalize_pure(g, [1.0, 0.0]),
+        lambda g: DensityOperator(g, np.eye(2) / 2),
+    ], ids=["PureState", "normalize_pure", "DensityOperator"])
+    @pytest.mark.parametrize("gram", [np.eye(2), None, OverlapSpec(2)], ids=["ndarray", "None", "OverlapSpec"])
+    def test_non_gram_is_a_value_error_naming_gram(self, build, gram):
+        # These read gram.dim first and raised AttributeError.
+        with pytest.raises(ValueError, match=f"^gram must be a GramMatrix, got {type(gram).__name__}$"):
+            build(gram)
+
+
 class TestRhoLowdinFormedOnce:
     def test_one_congruence_of_rho_and_one_of_its_diagonal(self, monkeypatch):
         calls = []

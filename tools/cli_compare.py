@@ -6,7 +6,7 @@
 
 `write` writes a seeded corpus of input files to DIR, with the list of
 commands that use them in DIR/commands.json: `orthogonalize` bases at
-d = 2 ... 64 with all three methods, `--order` and `--out`; `weights` pure
+d = 2 ... 64 and 256 with all three methods, `--order` and `--out`; `weights` pure
 states and complex density matrices at d = 2 ... 32 over dense and pairwise
 Grams; sweeps over both families, failing steps included; `paper-check`;
 and malformed inputs (text, bools, null, 3-element pairs, 10**400, NaN and
@@ -16,10 +16,14 @@ the seed, not on the code under test.
 `run` runs each command (or only the NAMEs given) as `python -m lowdin_kit`
 with PYTHONPATH=SRC and one BLAS thread, in DIR, so that every path in a
 message is relative and the same for any tree. It records the exit code and
-the sha256 of stdout, stderr and every file the command wrote under DIR/out.
+the sha256 of stdout, stderr and every file the command wrote under DIR/out,
+and the environment the bytes depend on: numpy's version, the BLAS library
+numpy reports and the BLAS thread count.
 
-`compare` prints each command whose record differs between two runs, or
-that only one run has, and exits 1 if there is any.
+`compare` refuses two runs whose environments differ, as their bytes may
+differ whatever the code. Otherwise it prints each command whose record
+differs between them, or that only one run has. It exits 1 on a refusal or
+on any difference.
 
 A typical check of a change against its parent commit:
 
@@ -43,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 SEED = 20260921
+BLAS_THREADS = "1"
 ORTHO_DIMS = (2, 3, 4, 8, 16, 32, 64)
 STATE_DIMS = (2, 3, 4, 8, 16, 32)
 METHODS = ("gram-schmidt", "lowdin-sym", "lowdin-can")
@@ -95,13 +100,16 @@ def _corpus(rng) -> tuple[dict, list]:
         commands.append((name, argv))
 
     # orthogonalize: every method at every d, --out, --order, near-dependent bases.
-    for d in ORTHO_DIMS:
+    def add_ortho(d):
         f = f"basis_d{d}.json"
         files[f] = _basis(_unit_columns(rng, d + 2 if d < 32 else d, d))
         for m in METHODS:
             add(f"ortho.d{d}.{m}", ["orthogonalize", "--basis", f, "--method", m])
         add(f"ortho.d{d}.gs.order", ["orthogonalize", "--basis", f, "--method", "gram-schmidt",
                                      "--order", ",".join(map(str, range(d, 0, -1)))])
+
+    for d in ORTHO_DIMS:
+        add_ortho(d)
     for m in METHODS:
         add(f"ortho.d8.{m}.out", ["orthogonalize", "--basis", "basis_d8.json", "--method", m,
                                   "--out", f"out/ortho.{m}.json"])
@@ -241,6 +249,9 @@ def _corpus(rng) -> tuple[dict, list]:
     add("argparse.no_command", [])
     add("argparse.bad_method", ["orthogonalize", "--basis", "basis_d2.json", "--method", "qr"])
     add("argparse.no_state", ["weights"])
+    # d = 256, where numpy's blocked BLAS paths begin. Drawn last, so that
+    # the files above are the same as before it was added.
+    add_ortho(256)
     return files, commands
 
 
@@ -258,6 +269,18 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _environment() -> dict:
+    """What a command's bytes depend on besides the code: numpy, the BLAS
+    library numpy reports, and the BLAS thread count run pins."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas.get('version', '')}".strip()
+    except TypeError:  # numpy < 1.26 has no mode; its config module names the libraries
+        info = np.__config__.get_info("blas_ilp64_opt") or np.__config__.get_info("blas_opt")
+        blas = ",".join(sorted(set(info.get("libraries", ())))) or "unknown"
+    return {"numpy": np.__version__, "blas": blas, "blas_threads": BLAS_THREADS}
+
+
 def run(directory: Path, src: Path, names: list[str]) -> dict:
     commands = json.loads((directory / "commands.json").read_text(encoding="utf-8"))["commands"]
     if names:
@@ -265,8 +288,8 @@ def run(directory: Path, src: Path, names: list[str]) -> dict:
         if unknown:
             raise SystemExit(f"unknown command names: {sorted(unknown)}")
         commands = [c for c in commands if c["name"] in names]
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS=BLAS_THREADS,
+               OMP_NUM_THREADS=BLAS_THREADS, MKL_NUM_THREADS=BLAS_THREADS)
     out_dir = directory / "out"
     records = {}
     for c in commands:
@@ -281,7 +304,7 @@ def run(directory: Path, src: Path, names: list[str]) -> dict:
             "files": {p.name: _sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())},
         }
     shutil.rmtree(out_dir, ignore_errors=True)
-    return records
+    return {"environment": _environment(), "commands": records}
 
 
 def compare(a: dict, b: dict) -> int:
@@ -307,14 +330,18 @@ def main(argv: list[str]) -> int:
         write(Path(argv[1]))
         return 0
     if argv[:1] == ["run"] and len(argv) >= 4:
-        records = run(Path(argv[1]), Path(argv[2]), argv[4:])
-        Path(argv[3]).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-        codes = [r["exit"] for r in records.values()]
-        print(f"{len(records)} commands: " + ", ".join(f"exit {k}: {codes.count(k)}" for k in sorted(set(codes))))
+        result = run(Path(argv[1]), Path(argv[2]), argv[4:])
+        Path(argv[3]).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        codes = [r["exit"] for r in result["commands"].values()]
+        print(f"{len(codes)} commands: " + ", ".join(f"exit {k}: {codes.count(k)}" for k in sorted(set(codes))))
         return 0
     if argv[:1] == ["compare"] and len(argv) == 3:
         a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in argv[1:])
-        return 1 if compare(a, b) else 0
+        if a.get("environment") != b.get("environment"):
+            print(f"refused: the runs' environments differ: {a.get('environment')} != {b.get('environment')}",
+                  file=sys.stderr)
+            return 1
+        return 1 if compare(a["commands"], b["commands"]) else 0
     print(usage, file=sys.stderr)
     return 2
 
