@@ -5,9 +5,8 @@ gate every Hermitian input passes where it enters (linalg._hermitian_part)
 it checks the overlap rules, and one Cholesky factorization, with an
 eigendecomposition only where that fails, proves it positive definite. Its
 one eigendecomposition is computed only when something needs it, of the
-gate's own output, which is gated again only where that might change its
-bytes (linalg.hermitian_eig); the cached O^{1/2} and the O^{-1/2} of the
-symmetric Lowdin engine derive from it.
+gate's own output as it is (linalg.hermitian_eig); the cached O^{1/2} and
+the O^{-1/2} of the symmetric Lowdin engine derive from it.
 The inner product convention is conjugate-linear in the first slot:
 ``O_ij = <c_i | c_j> = c_i+ c_j``.
 """

@@ -2,10 +2,10 @@
 
 Thin layer over LAPACK (via numpy): eigendecomposition, the +-1/2 matrix
 powers, the eigenvalue-floor check that words rejections, and the one gate
-every Hermitian input passes, Gram and density matrices alike, where it
+every Hermitian input passes, Gram and density matrices alike, once, where it
 enters. The Gram's eigendecomposition and rho's PSD check diagonalize the
-gate's own output through hermitian_eig(..., _gated=True), which gates it a
-second time only where that pass might change its bytes. All pure.
+gate's own output as it is, through hermitian_eig(..., _gated=True), bar a
+matrix whose Frobenius norm overflows. All pure.
 """
 
 from __future__ import annotations
@@ -115,9 +115,9 @@ def _as_real(x, what: str) -> float:
 def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
     """The Hermitian gate: ValueError unless m is square, non-empty and finite;
     error if max |m_ij - conj(m_ji)| exceeds 1e-10 max(1, ||m||_F). Returns m's
-    complex Hermitian part, a new array, so roundoff-level asymmetry cannot leak
-    on. ||m||_F^2 is one vdot, non-finite on overflow without a warning; a finite
-    one proves m finite, so only a non-finite one makes the gate scan m's entries."""
+    Hermitian part, halved as floats into a new array that a second pass returns
+    byte for byte where ||m||_F is finite. ||m||_F^2 is one vdot, non-finite on
+    overflow without a warning; a finite one proves m finite, else m is scanned."""
     a = _as_array(m, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -125,10 +125,11 @@ def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
     if math.isfinite(norm2):
         tol = 1e-10 * max(1.0, math.sqrt(norm2))
         at = a.conj().T
-        part = a - at  # one buffer: m - m+, then the Hermitian part
+        part = np.subtract(a, at, order="C")  # one buffer: m - m+, then the Hermitian part
         dev = float(np.abs(part).max())
         np.add(a, at, out=part)
-        part *= 0.5
+        halves = part.view(float)  # as floats: x * (0.5 + 0j) may flip a zero's sign
+        halves *= 0.5
     elif not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
     else:
@@ -139,7 +140,8 @@ def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
         tol = 1e-10 * float(np.linalg.norm(s, "fro")) * 2.0**600
         dev = float(np.max(np.abs(s - _ct(s)))) * 2.0**600
         # Halving first keeps the Hermitian part of a huge m finite.
-        part = 0.5 * a + 0.5 * _ct(a)
+        part = (np.ascontiguousarray(a).view(float) * 0.5).view(complex)
+        part += _ct(part)
     if dev > tol:
         raise error(f"{what} asymmetry {dev:.3e} exceeds {tol:.3e}")
     return part
@@ -180,13 +182,12 @@ def hermitian_eig(m, *, _gated: bool = False) -> HermitianEigenDecomposition:
     matrix is unitary.
 
     The package's own callers pass _gated=True with a matrix the gate has
-    already returned. Where its Frobenius norm is finite and no entry has a
-    zero real part, a second pass through the gate would return it bit for
-    bit, so it is diagonalized as it is. Elsewhere the gate's complex halving
-    may have left the sign of a zero that a second pass flips, and eigh reads
-    those signs, so it passes the gate again.
+    already returned. Where its Frobenius norm is finite a second pass would
+    return it byte for byte, so it is diagonalized as it is. Where the norm
+    overflows, the gate halved before adding and a second pass may round its
+    subnormal entries, so it passes the gate again.
     """
-    skip = _gated and m.real.all() and math.isfinite(float(np.vdot(m, m).real))
+    skip = _gated and math.isfinite(float(np.vdot(m, m).real))
     sym = m if skip else _hermitian_part(m)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(sym)

@@ -176,8 +176,8 @@ def lowdin_canonical(basis: BasisSet) -> OrthoResult:
 
     Aligns the output with the eigenvectors of the overlap matrix. It is
     meant as the variant of choice when the smallest overlap eigenvalue
-    approaches zero, but as built from O it still loses orthonormality on
-    accepted inputs, for example from lambda_min about 1e-5 at d=256.
+    approaches zero, but as built from O it still fails its output check on
+    accepted inputs, plain random bases at d=256 and kappa(O) 2.5e6 among them.
     """
     eig = basis.gram.eigen
     transform = eig.eigenvectors / np.sqrt(eig.eigenvalues)

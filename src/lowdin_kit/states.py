@@ -41,8 +41,8 @@ def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
 
 def _unit_trace_psd(m, what: str) -> np.ndarray:
     """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0.
-    The PSD check diagonalizes the gate's output with hermitian_eig(_gated=True),
-    which gates it again only where that might change its bytes."""
+    The PSD check diagonalizes the gate's output as it is, with
+    hermitian_eig(_gated=True), bar one whose Frobenius norm overflows."""
     m = _hermitian_part(m, InvalidParameters, what)
     with np.errstate(over="ignore"):  # an overflowing trace is refused as inf
         tr = float(m.trace().real)

@@ -926,10 +926,13 @@ GOLDEN = Path(__file__).parent / "golden"
     ("weights", "--state", "readme_pure.json", "readme_pure.report.json"),
     ("weights", "--state", "readme_rho.json", "readme_rho.report.json"),
     ("weights", "--state", "complex_rho.json", "complex_rho.report.json"),
+    ("weights", "--state", "zero_overlap.json", "zero_overlap.report.json"),
 ])
 def test_output_matches_golden_bytes(tmp_path, command, flag, source, expected):
-    # Files written by an earlier version of the CLI. All are 2x2 cases, so
-    # the bytes do not depend on which BLAS kernels run.
+    # Files written by an earlier version of the CLI. All are 2x2 or 3x3
+    # cases, so the bytes do not depend on which BLAS kernels run.
+    # zero_overlap's pairwise Gram leaves the pair (1, 3) unspecified, a zero
+    # overlap whose signs eigh reads.
     out = tmp_path / expected
     assert main([command, flag, str(GOLDEN / source), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()

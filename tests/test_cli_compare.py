@@ -56,3 +56,19 @@ def test_corpus_covers_d256_orthogonalize(tmp_path):
     names = {c["name"] for c in json.loads((tmp_path / "commands.json").read_text())["commands"]}
     assert {"ortho.d256.gram-schmidt", "ortho.d256.lowdin-sym", "ortho.d256.lowdin-can",
             "ortho.d256.gs.order"} <= names
+
+
+def test_corpus_covers_signed_zeros(tmp_path):
+    # Zeros whose signs eigh reads: purely imaginary overlaps with -0.0 real
+    # parts, rho with -0.0 off-diagonal real parts, an unspecified pair and
+    # exactly orthogonal basis columns.
+    assert _tool("write", tmp_path).returncode == 0
+    names = {c["name"] for c in json.loads((tmp_path / "commands.json").read_text())["commands"]}
+    assert {"weights.zero_real.d5.pure", "weights.zero_real.d5.rho", "weights.zero_real.d16.pure",
+            "weights.zero_real.d16.rho", "weights.zero_real.rho_offdiagonal", "weights.unspecified_pair.pure",
+            "weights.unspecified_pair.rho", "ortho.orthogonal_pairs.gram-schmidt",
+            "ortho.orthogonal_pairs.lowdin-sym", "ortho.orthogonal_pairs.lowdin-can"} <= names
+    for f in ("state_d5_imaginary_pure.json", "state_d16_imaginary_rho.json", "state_d4_rho_imaginary.json"):
+        assert "[-0.0, -0." in (tmp_path / f).read_text()
+    overlaps = json.loads((tmp_path / "state_unspecified_rho.json").read_text())["gram"]["overlaps"]
+    assert len(overlaps) == 5 and [1, 3] not in [p[:2] for p in overlaps]

@@ -13,6 +13,8 @@ from lowdin_kit import (
     InvalidParameters,
     NotHermitian,
     NotPositiveDefinite,
+    OverlapSpec,
+    gram_from_overlaps,
     hermitian_eig,
     linalg,
     lowdin_symmetric,
@@ -247,24 +249,35 @@ class TestConditionNumber:
             _check_floor(hermitian_eig(np.array([[1.0, 0.0], [0.0, -1.0]])))
 
 
-def gate_input(kind: str, d: int, rng) -> np.ndarray:
-    """A d x d matrix of one class the gate accepts, built from C+C."""
+def gate_input(kind: str, d: int, rng, layout: str = "C") -> np.ndarray:
+    """A d x d matrix of one class the gate accepts, built from C+C, laid out
+    C-ordered, F-ordered or as a non-contiguous slice."""
     c = rng.standard_normal((d + 2, d)) + 1j * rng.standard_normal((d + 2, d))
     m = c.conj().T @ c
     if kind == "rank-deficient density":
         x = c[:d, : max(1, d // 3)]
         m = x @ x.conj().T
-        return m / m.trace().real
-    if kind == "signed zeros":
+        m = m / m.trace().real
+    elif kind == "signed zeros":
         mask = rng.random((d, d)) < 0.3
         zeros = rng.choice([complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)], size=(d, d))
-        return np.where(mask | mask.T, zeros, m)
-    if kind == "overflowing norm":
-        return m * 1e200
-    if kind == "subnormal entries":
-        return m * 1e-310
-    if kind == "real":
-        return m.real
+        m = np.where(mask | mask.T, zeros, m)
+    elif kind == "imaginary":
+        # 1j * x has a real part of -0.0 wherever x < 0.
+        m = 1j * m.imag
+        np.fill_diagonal(m, d)
+    elif kind == "overflowing norm":
+        m = m * 1e200
+    elif kind == "subnormal entries":
+        m = m * 1e-310
+    elif kind == "real":
+        m = m.real
+    if layout == "F":
+        return np.asfortranarray(m)
+    if layout == "sliced":
+        wide = np.zeros((d, 2 * d), dtype=m.dtype)
+        wide[:, ::2] = m
+        return wide[:, ::2]
     return m
 
 
@@ -274,38 +287,46 @@ def refused(build, m):
 
 
 class TestGateOnce:
-    """The Gram's eigendecomposition and rho's PSD check diagonalize the gate's
-    own output through hermitian_eig(..., _gated=True), which skips a second
-    pass where that pass would return the matrix bit for bit."""
+    """The gate's output is its own fixed point wherever its Frobenius norm is
+    finite, so the Gram's eigendecomposition and rho's PSD check diagonalize it
+    as it is through hermitian_eig(..., _gated=True); only a matrix whose norm
+    overflows passes the gate a second time."""
 
     @seed(CORPUS_SEED)
-    @settings(max_examples=150, deadline=None, database=None)
-    @given(kind=st.sampled_from(["C+C", "rank-deficient density", "signed zeros", "overflowing norm",
-                                 "subnormal entries", "real"]),
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(kind=st.sampled_from(["C+C", "rank-deficient density", "signed zeros", "imaginary",
+                                 "overflowing norm", "subnormal entries", "real"]),
+           layout=st.sampled_from(["C", "F", "sliced"]),
            d=st.integers(1, 64), draw=st.integers(0, 2**32 - 1))
-    def test_gated_path_keeps_every_byte(self, kind, d, draw):
-        g = _hermitian_part(gate_input(kind, d, np.random.default_rng(draw)))
+    def test_gated_path_keeps_every_byte(self, kind, layout, d, draw):
+        m = gate_input(kind, d, np.random.default_rng(draw), layout)
+        g = _hermitian_part(m)
+        assert g.tobytes() == _hermitian_part(np.ascontiguousarray(m)).tobytes()
         again = _hermitian_part(g)
-        assert np.array_equal(again, g)  # in value; the sign of a zero may differ
-        if g.real.all() and np.isfinite(np.vdot(g, g).real):
+        assert np.array_equal(again, g)
+        if np.isfinite(np.vdot(g, g).real):
             assert again.tobytes() == g.tobytes()
         gated, public = hermitian_eig(g, _gated=True), hermitian_eig(g)
         assert gated.eigenvalues.tobytes() == public.eigenvalues.tobytes()
         assert gated.eigenvectors.tobytes() == public.eigenvectors.tobytes()
 
-    def test_gate_output_is_not_always_its_own_fixed_point(self):
-        # Halving by complex multiplication, x * (0.5 + 0j), gives a zero real
-        # part the sign of -0 - (im * 0): (-0, 0.1) comes back as (+0, 0.1), and
-        # eigh's Householder steps read that sign.
+    def test_gate_output_is_its_own_fixed_point_unless_its_norm_overflows(self):
+        # The gate halves real and imaginary parts as floats, so the sign of a
+        # zero survives a second pass; eigh's Householder steps read that sign.
         m = np.array([[1.0, complex(-0.0, -0.1)], [complex(-0.0, 0.1), 1.0]])
         g = _hermitian_part(m)
-        assert np.signbit(g[1, 0].real) and not np.signbit(_hermitian_part(g)[1, 0].real)
+        assert np.signbit(g[1, 0].real) and _hermitian_part(g).tobytes() == g.tobytes()
+        # A broadcast input, with zero strides, is halved in a new C-ordered array too.
+        g = _hermitian_part(np.broadcast_to(complex(-0.0, 0.0), (3, 3)))
+        assert g.flags.c_contiguous and g.tobytes() == np.full((3, 3), complex(-0.0, 0.0)).tobytes()
         # Where ||m||_F overflows the gate halves each entry before adding, so
         # an odd multiple of 2**-1074 rounds away on a second pass.
         m = np.diag([1e200, -1e200, 1.0]).astype(complex)
         m[0, 2] = 1e-323
+        m[0, 1], m[1, 0] = complex(-0.0, -0.1), complex(-0.0, 0.1)
         g = _hermitian_part(m)
         assert g[0, 2] == 5e-324 and _hermitian_part(g)[0, 2] == 0.0
+        assert np.signbit(g[0, 1].real) and np.signbit(g[1, 0].real)  # that branch halves as floats too
 
     @pytest.mark.parametrize("build, gates", [
         (lambda: GramMatrix(two_level_overlap(0.5)).eigen, 1),
@@ -313,13 +334,14 @@ class TestGateOnce:
         (lambda: LowdinTransformedState([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]), 1),
         (lambda: lowdin_symmetric(BasisSet(np.array([[1.0, 0.6], [0.0, 0.8]]))), 1),
         (lambda: hermitian_eig(two_level_overlap(0.5)), 1),
-        # A zero real part, or an overflowing ||m||_F: the gate's output is gated again.
-        (lambda: GramMatrix(np.eye(2)).eigen, 2),
-        (lambda: DensityOperator(GramMatrix(two_level_overlap(0.5)), [[0.6, 0.2j], [-0.2j, 0.4]]), 3),
+        # A zero real part is gated once too; only an overflowing ||m||_F is gated again.
+        (lambda: GramMatrix(np.eye(2)).eigen, 1),
+        (lambda: DensityOperator(GramMatrix(two_level_overlap(0.5)), [[0.6, 0.2j], [-0.2j, 0.4]]), 2),
+        (lambda: gram_from_overlaps(OverlapSpec(3, [(1, 2, 0.4)])).eigen, 1),
         (lambda: refused(LowdinTransformedState, [[1e200, 1, 1], [1, -1e200, 1], [1, 1, 1]]), 2),
     ], ids=["GramMatrix.eigen", "DensityOperator", "LowdinTransformedState", "lowdin_symmetric",
             "hermitian_eig", "GramMatrix.eigen, zero real part", "DensityOperator, zero real part",
-            "LowdinTransformedState, overflowing norm"])
+            "gram_from_overlaps.eigen, unspecified pair", "LowdinTransformedState, overflowing norm"])
     def test_gate_passes_per_matrix(self, monkeypatch, build, gates):
         calls = []
 

@@ -9,9 +9,11 @@ commands that use them in DIR/commands.json: `orthogonalize` bases at
 d = 2 ... 64 and 256 with all three methods, `--order` and `--out`; `weights` pure
 states and complex density matrices at d = 2 ... 32 over dense and pairwise
 Grams; sweeps over both families, failing steps included; `paper-check`;
-and malformed inputs (text, bools, null, 3-element pairs, 10**400, NaN and
-Infinity literals, dim below 2, ...). The corpus depends only on numpy and
-the seed, not on the code under test.
+malformed inputs (text, bools, null, 3-element pairs, 10**400, NaN and
+Infinity literals, dim below 2, ...); and zeros whose signs eigh reads
+(purely imaginary overlaps and rho off-diagonals with -0.0 real parts, a
+pairwise Gram with an unspecified pair, exactly orthogonal basis columns).
+The corpus depends only on numpy and the seed, not on the code under test.
 
 `run` runs each command (or only the NAMEs given) as `python -m lowdin_kit`
 with PYTHONPATH=SRC and one BLAS thread, in DIR, so that every path in a
@@ -252,6 +254,41 @@ def _corpus(rng) -> tuple[dict, list]:
     # d = 256, where numpy's blocked BLAS paths begin. Drawn last, so that
     # the files above are the same as before it was added.
     add_ortho(256)
+    # Signed zeros, which eigh reads: drawn after d = 256 for the same reason.
+    # Purely imaginary overlaps written as 1j * x carry -0.0 real parts for x < 0.
+    for d in (5, 16):
+        a = rng.standard_normal((d, d))
+        a = (a - a.T) / (2 * np.linalg.norm(a - a.T, 2))
+        o = 1j * a
+        np.fill_diagonal(o, 1.0)
+        pure = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        f = f"state_d{d}_imaginary"
+        add(f"weights.zero_real.d{d}.pure", ["weights", "--state", f"{f}_pure.json"],
+            **{f"{f}_pure.json": {"gram": _gram(o, True), "pure": _pairs(pure)}})
+        add(f"weights.zero_real.d{d}.rho", ["weights", "--state", f"{f}_rho.json"],
+            **{f"{f}_rho.json": {"gram": _gram(o, True), "rho": _pairs(_density(rng, d, d))}})
+    b = rng.standard_normal((4, 4))
+    rho = 1j * (b - b.T) / (8 * np.linalg.norm(b - b.T, 2))
+    np.fill_diagonal(rho, 0.25)
+    add("weights.zero_real.rho_offdiagonal", ["weights", "--state", "state_d4_rho_imaginary.json"],
+        **{"state_d4_rho_imaginary.json": {"gram": _gram(_overlap(rng, 4), True), "rho": _pairs(rho)}})
+    # A pairwise Gram with the pair (1, 3) unspecified, so O_13 = 0: halving the
+    # off-diagonal keeps it positive definite.
+    o = 0.5 * (_overlap(rng, 4) + np.eye(4))
+    o[0, 2] = o[2, 0] = 0.0
+    gram = _gram(o, False)
+    gram["overlaps"] = [p for p in gram["overlaps"] if p[:2] != [1, 3]]
+    pure = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    add("weights.unspecified_pair.pure", ["weights", "--state", "state_unspecified_pure.json"],
+        **{"state_unspecified_pure.json": {"gram": gram, "pure": _pairs(pure)}})
+    add("weights.unspecified_pair.rho", ["weights", "--state", "state_unspecified_rho.json"],
+        **{"state_unspecified_rho.json": {"gram": gram, "rho": _pairs(_density(rng, 4, 3))}})
+    # Columns 1, 2 and 3, 4 on disjoint rows: exactly orthogonal pairs.
+    cols = _unit_columns(rng, 8, 4)
+    cols[4:, 0] = cols[:4, 1] = cols[4:, 2] = cols[:4, 3] = 0.0
+    files["basis_orthogonal_pairs.json"] = _basis(cols / np.linalg.norm(cols, axis=0))
+    for m in METHODS:
+        add(f"ortho.orthogonal_pairs.{m}", ["orthogonalize", "--basis", "basis_orthogonal_pairs.json", "--method", m])
     return files, commands
 
 
