@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 reference-check failure, 2 input/parse error,
 outputs are deterministic (fixed field order, 12 significant digits): the
 same input gives the same bytes on the same numpy and BLAS build with the
 same BLAS thread count (README shows a d=256 case that differs across counts).
+The reference checks (`checks`) load only for paper-check and replayed sweep steps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import warnings
 
 import numpy as np
 
-from .checks import _gram2, reference_rows, render_table
 from .errors import LowdinKitError
 from .fileformats import (
     _CELL,
@@ -246,6 +246,7 @@ _CSV_ROW = ",".join([_CELL] * 6) + "\n"
 
 def _sweep_step(params: dict) -> tuple:
     """w_1, w_2, entropy, pr, ipr of one step through the library, or its typed error."""
+    from .checks import _gram2  # as in cmd_paper_check
     if "gamma" in params:
         w = weights_pure(normalize_pure(_gram2(params["s"]), [1.0, params["gamma"]]))
     else:
@@ -325,6 +326,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_paper_check(args) -> int:
+    from .checks import reference_rows, render_table  # only here and in _sweep_step: about 3 ms a process
     rows = reference_rows()
     sys.stdout.write(render_table(rows) + "\n")
     return 0 if all(r.passed for r in rows) else 1

@@ -3,10 +3,10 @@
 Complex scalars are encoded as [re, im] pairs; matrices as flat
 row-major lists of pairs; indices in files are 1-based. Every number in
 an input file must be a JSON number: strings and booleans are rejected,
-however they read. The encoders below return full-precision floats;
-each number is rounded exactly once, to 12 significant digits, when a
-report is written (`_json_text`, which formats each float once), which
-keeps repeated runs byte-identical while re-parsing losslessly.
+however they read. The encoders below return full-precision floats. The
+report writer (`_json_text`) rounds each number once to 12 significant digits,
+by one % per number list; one numpy pass finds the few texts %.12g writes
+unlike json.dumps (integral, subnormal, non-finite), and only those are fixed.
 
 Schemas:
     gram.json   {"dim": d, "overlaps": [[i, j, re, im], ...]}     (i < j)
@@ -49,37 +49,57 @@ def round12(x: float) -> float:
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _float_texts(xs: list) -> list[str]:
-    """json.dumps(round12(x)) of each float x, all written by one %.
-
-    The 12-digit text already is the repr of the rounded float, except
-    where repr writes another form: integral values (repr adds ".0"),
-    exponents e+12 to e+15 (repr writes them in full), e-308 and below
-    (subnormals: repr may differ), and inf and nan. Those texts, and a few
-    more that the cheap test below also catches (first on all texts at
-    once: each has at most one "."), take repr(round12(x)) or JSON's literal.
-    """
-    text = (_CELL + "\n") * len(xs) % tuple(xs)
-    texts = text.split()
-    if text.count(".") < len(xs) or "e+1" in text or "e-3" in text:
-        for i, t in enumerate(texts):
-            if "." not in t or "e+1" in t or "e-3" in t:
-                texts[i] = _NON_FINITE.get(t) or repr(round12(xs[i]))
-    return texts
+def _number_text(x) -> str:
+    """json.dumps(round12(x)) of a float x, json.dumps(x) of an int or a bool."""
+    if isinstance(x, float):
+        text = _CELL % x
+        return _NON_FINITE.get(text) or float.__repr__(float(text))
+    return ("true" if x else "false") if isinstance(x, bool) else int.__repr__(x)
 
 
-def _number_items(items: list | tuple, indent: str) -> list[str] | None:
-    """Item texts of a list of floats at indent; for a list of [re, im] float
-    pairs, one text of all its items, written by one %; None for any other list."""
-    types = set(map(type, items))
-    if types == {float}:
-        return _float_texts(items)
-    if types <= {list, tuple} and set(map(len, items)) == {2}:
-        flat = list(chain.from_iterable(items))
-        if set(map(type, flat)) == {float}:
-            pair = f"[\n{indent}  %s,\n{indent}  %s\n{indent}]"
-            return [(",\n" + indent).join([pair] * len(items)) % tuple(_float_texts(flat))]
-    return None
+def _layout(shape: list, indent: str, fixed=(), whole=()) -> str:
+    """%-template of a list nested to shape, at indent: _CELL for each number, but at the flat
+    indices fixed %.99r where whole holds, else %.99s (as wide as _CELL, so set in place)."""
+    inner = indent + "  "
+    item = _layout(shape[1:], inner) if len(shape) > 1 else _CELL
+    text = f"[\n{inner}" + (",\n" + inner).join([item] * shape[0]) + f"\n{indent}]"
+    if not len(fixed):
+        return text
+    buf = np.frombuffer(bytearray(text, "ascii"), np.uint8)
+    at = np.flatnonzero(buf == ord("%"))[fixed]
+    buf[at + 2] = buf[at + 3] = ord("9")
+    buf[at + 4] = np.where(whole, ord("r"), ord("s"))
+    return buf.tobytes().decode("ascii")
+
+
+def _number_list(items: list | tuple, indent: str) -> str | None:
+    """_json_text of a list of ints and floats nested to a fixed shape, by one %
+    over its template, or None. %.12g writes json.dumps(round12(x)) unless that
+    is integral below 1e16, subnormal or not finite: one numpy pass flags those
+    x (and every int), %r writes the integral ones below 1e12, _number_text the rest."""
+    shape, flat = [len(items)], list(items)
+    try:
+        # Three deep at most, as in reports: deeper lists recurse, so a deep echo still raises.
+        while isinstance(flat[0], (list, tuple)) and len(shape) < 3:
+            if len(lengths := set(map(len, flat))) > 1:
+                return None
+            shape.append(lengths.pop())
+            flat = list(chain.from_iterable(flat))
+        a = np.fromiter(flat, float, len(flat))
+    except (IndexError, TypeError, ValueError, OverflowError):  # an empty or ragged list, or no number
+        return None
+    with np.errstate(invalid="ignore"):  # inf - inf
+        gap, size = np.abs(a - np.rint(a)), np.abs(a)
+        fixed = np.flatnonzero(~((gap > 1e-11 * size) & (size >= 1e-307)))
+    whole = (gap[fixed] == 0) & (size[fixed] < 1e12)
+    if not set(map(type, map(flat.__getitem__, fixed.tolist()))) <= {int, float}:  # a bool or None
+        return None
+    for i in fixed[~whole].tolist():
+        flat[i] = _number_text(flat[i])
+    try:
+        return _layout(shape, indent, fixed, whole) % tuple(flat)
+    except TypeError:  # numeric text, which fromiter read as a number
+        return None
 
 
 def _json_text(obj, indent: str = "") -> str:
@@ -90,12 +110,8 @@ def _json_text(obj, indent: str = "") -> str:
         return encode_basestring_ascii(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_texts([obj])[0]
+    if isinstance(obj, (int, float)):
+        return _number_text(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -105,7 +121,9 @@ def _json_text(obj, indent: str = "") -> str:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = _number_items(obj, inner) or [_json_text(v, inner) for v in obj]
+        if (text := _number_list(obj, indent)) is not None:
+            return text
+        items = [_json_text(v, inner) for v in obj]
         brackets = "[]"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -191,6 +209,11 @@ def parse_basis(obj) -> BasisSet:
     vectors = obj.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise ValueError("basis: field 'vectors' must be a non-empty list")
+    # Every column in one call; after any ValueError the column-by-column path words it.
+    if set(map(type, vectors)) == {list} and set(map(len, vectors)) == {ambient}:
+        with suppress(ValueError):
+            flat = pairs_to_vector(list(chain.from_iterable(vectors)), "basis.vectors")
+            return BasisSet(flat.reshape(len(vectors), ambient).T)
     cols = []
     for k, vec in enumerate(vectors):
         col = pairs_to_vector(vec, f"basis.vectors[{k}]")

@@ -943,11 +943,19 @@ def test_output_matches_golden_bytes(tmp_path, command, flag, source, expected):
     (["--method", "gram-schmidt", "--order", "2,1"], "readme_basis.gram-schmidt.order-2-1.report.json"),
     (["--method", "lowdin-sym"], "readme_basis.lowdin-sym.report.json"),
     (["--method", "lowdin-can"], "readme_basis.lowdin-can.report.json"),
+    (["--method", "gram-schmidt"], "edge_basis.gram-schmidt.report.json"),
+    (["--method", "gram-schmidt", "--order", "3,1,2"], "edge_basis.gram-schmidt.order-3-1-2.report.json"),
+    (["--method", "lowdin-sym"], "edge_basis.lowdin-sym.report.json"),
+    (["--method", "lowdin-can"], "edge_basis.lowdin-can.report.json"),
 ])
 def test_orthogonalize_matches_golden_bytes(tmp_path, options, expected):
-    # README's 2x2 basis through each engine, as written by an earlier version.
+    # README's 2x2 basis and a 3x3 basis through each engine, as written by an
+    # earlier version. The 3x3 basis has int and exactly zero entries, and an
+    # extra key whose echo holds ints, signed zeros, e+12 to e+16, subnormals
+    # and the largest double.
     out = tmp_path / expected
-    assert main(["orthogonalize", "--basis", str(GOLDEN / "readme_basis.json"), *options, "--out", str(out)]) == 0
+    basis = GOLDEN / f"{expected.split('.')[0]}.json"
+    assert main(["orthogonalize", "--basis", str(basis), *options, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
 
 
@@ -959,6 +967,35 @@ class TestPaperCheck:
         pass_rows = [ln for ln in lines if ln.endswith("PASS")]
         assert len(pass_rows) >= 15
         assert not any(ln.endswith("FAIL") for ln in lines)
+
+    def test_checks_load_only_where_they_run(self, tmp_path, beta_state_file, plane_basis_file):
+        # A fresh process: weights and orthogonalize leave the reference
+        # checks unloaded; a replayed sweep step and paper-check load them.
+        singular = write_json(tmp_path / "singular.json", {"parameter": "s", "range": [0.5, 0.9999999999999],
+                                                           "steps": 9, "fixed": {"gamma": 1.0}})
+        script = f"""
+import contextlib, io, sys
+import numpy as np
+from lowdin_kit import cli
+loaded = [("lowdin_kit.checks" in sys.modules)]
+with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+    codes = [cli.main(["weights", "--state", {beta_state_file!r}]),
+             cli.main(["orthogonalize", "--basis", {plane_basis_file!r}, "--method", "gram-schmidt"])]
+    loaded.append("lowdin_kit.checks" in sys.modules)
+    table, proven = cli._sweep_table({{"gamma": 0.6, "s": np.array([0.4])}}, 1)
+    row = cli._sweep_step({{"gamma": 0.6, "s": 0.4}})
+    loaded.append("lowdin_kit.checks" in sys.modules)
+    codes += [cli.main(["sweep", "--spec", {singular!r}, "--out", {str(tmp_path / "out.csv")!r}]),
+              cli.main(["paper-check"])]
+print(loaded, codes, bool(proven.all()), tuple(table[0]) == row, out.getvalue().endswith(" 0 failed\\n"))
+print(err.getvalue(), end="")
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [
+            "[False, False, True] [0, 0, 3, 0] True True True",
+            "error: NotPositiveDefinite: smallest eigenvalue 1.000e-13 is at or below 1e-12 "
+            "(largest eigenvalue 2.000e+00, dimension 2)"]
 
     def test_console_script_entry_point(self, capsys, monkeypatch):
         # [project.scripts] lowdin-kit = "lowdin_kit.cli:entrypoint"

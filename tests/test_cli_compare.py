@@ -72,3 +72,19 @@ def test_corpus_covers_signed_zeros(tmp_path):
         assert "[-0.0, -0." in (tmp_path / f).read_text()
     overlaps = json.loads((tmp_path / "state_unspecified_rho.json").read_text())["gram"]["overlaps"]
     assert len(overlaps) == 5 and [1, 3] not in [p[:2] for p in overlaps]
+
+
+def test_corpus_covers_echoed_edges_and_zero_entries(tmp_path):
+    # The report writer's edge numbers in an echoed extra key, and a basis
+    # with exact zeros under --order.
+    assert _tool("write", tmp_path).returncode == 0
+    names = {c["name"] for c in json.loads((tmp_path / "commands.json").read_text())["commands"]}
+    assert {"ortho.echo_edges.gram-schmidt", "ortho.echo_edges.lowdin-sym", "ortho.echo_edges.lowdin-can",
+            "weights.echo_edges.pure", "weights.echo_edges.rho", "ortho.zeros.gs.order"} <= names
+    for f in ("basis_echo_edges.json", "state_echo_edges_pure.json", "state_echo_edges_rho.json"):
+        text = (tmp_path / f).read_text()
+        for number in (" 3,", " 9007199254740993,", " -0.0,", " 999999999999.5,", " 1e+16,", " 5e-324,", " 1e-310,",
+                       " 1.7976931348623157e+308,", " Infinity,", " NaN,"):
+            assert number in text
+    vectors = json.loads((tmp_path / "basis_zeros.json").read_text())["vectors"]
+    assert sum(p == [0.0, 0.0] for col in vectors for p in col) == 15

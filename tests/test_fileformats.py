@@ -181,6 +181,38 @@ class TestEncoders:
         )
         assert new.to_json() == _to_json_old(old)
 
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_arrays_match_old_encoder(self, layout):
+        # Complex and real, 1-D and 2-D arrays holding every edge float, in
+        # each memory layout, through the encoders and the writer.
+        rng = np.random.default_rng(29)
+        edge = EDGE_FLOATS + [-999999999999.5, -1e15, float("inf"), float("-inf"), float("nan")]
+        re = rng.permutation(np.concatenate([edge, rng.standard_normal(36 - len(edge))]))
+        z = np.empty(36, dtype=complex)
+        z.real, z.imag = re, rng.permutation(re)
+        arrays = [z, z.reshape(6, 6), re, re.reshape(6, 6)]
+        if layout == "F":
+            arrays = [np.asfortranarray(a) for a in arrays]
+        elif layout == "strided":
+            every_other = [(slice(None, None, 2),) * a.ndim for a in arrays]
+            bigger = [np.zeros([2 * n for n in a.shape], a.dtype) for a in arrays]
+            for big, a, at in zip(bigger, arrays, every_other):
+                big[at] = a
+            arrays = [big[at] for big, at in zip(bigger, every_other)]
+            assert not any(a.flags.c_contiguous or a.flags.f_contiguous for a in arrays)
+        z, zm, x, xm = arrays
+        new = AnalysisReport(command="arrays", input={"x": x.tolist(), "xm": xm.tolist()},
+                             lowdin_coefficients=vector_to_pairs(z), transform=matrix_to_pairs(zm),
+                             basis=fileformats._pairs(zm.T), weights=x.tolist(), rho_lowdin=xm.tolist())
+        x_old, xm_old = [float(v) for v in x], [[float(v) for v in row] for row in xm]
+        old = AnalysisReport(command="arrays", input={"x": x_old, "xm": xm_old},
+                             lowdin_coefficients=_vector_to_pairs_old(z), transform=_matrix_to_pairs_old(zm),
+                             basis=[_vector_to_pairs_old(col) for col in zm.T], weights=x_old, rho_lowdin=xm_old)
+        assert new.to_json() == _to_json_old(old)
+        for text in ("-0.0", "1000000000000.0", "-1000000000000.0", "1000000000000000.0", "1e+16", "5e-324",
+                     "2.22507385851e-308", "1.79769313486e+308", "-Infinity", "NaN"):
+            assert f" {text}" in new.to_json()
+
     def test_encoders_return_plain_unrounded_floats(self):
         z = np.array([[1.0 / 3.0 - 2j, -0.0], [5e-324j, 7.0]])
         pairs = matrix_to_pairs(z)
@@ -218,14 +250,24 @@ class TestReportsThroughMain:
         assert new == old
 
     def test_each_float_rounded_once(self, capsys, monkeypatch, report_commands):
+        # A float is formatted either where the % over a number list's
+        # template meets it at a %.12g or %r cell, or by _number_text, which
+        # writes the rest of the report's floats; count both.
         calls = []
-        real = fileformats._float_texts
+        real_text, real_layout = fileformats._number_text, fileformats._layout
 
-        def counted(xs):
-            calls.extend(xs)
-            return real(xs)
+        class Template(str):
+            def __mod__(self, args):
+                calls.extend(x for x in args if type(x) is float)
+                return str.__mod__(self, args)
 
-        monkeypatch.setattr(fileformats, "_float_texts", counted)
+        def number_text(x):
+            if type(x) is float:
+                calls.append(x)
+            return real_text(x)
+
+        monkeypatch.setattr(fileformats, "_number_text", number_text)
+        monkeypatch.setattr(fileformats, "_layout", lambda *args: Template(real_layout(*args)))
         for argv in report_commands:
             calls.clear()
             assert main(argv) == 0
@@ -327,3 +369,55 @@ def _parsed(parse, items):
 @given(items=pair_lists)
 def test_pairs_to_vector_matches_per_pair_reference(items):
     assert _parsed(fileformats.pairs_to_vector, items) == _parsed(_pairs_to_vector_reference, items)
+
+
+def _parse_basis_reference(obj):
+    """The column-by-column parser that parse_basis's one-call path bypasses."""
+    if not isinstance(obj, dict):
+        raise ValueError("basis: expected a JSON object")
+    ambient = fileformats._require_int(obj, "ambient_dim", "basis")
+    vectors = obj.get("vectors")
+    if not isinstance(vectors, list) or not vectors:
+        raise ValueError("basis: field 'vectors' must be a non-empty list")
+    cols = []
+    for k, vec in enumerate(vectors):
+        col = fileformats.pairs_to_vector(vec, f"basis.vectors[{k}]")
+        if col.shape[0] != ambient:
+            raise ValueError(f"basis.vectors[{k}]: length {col.shape[0]} != ambient_dim {ambient}")
+        cols.append(col)
+    return fileformats.BasisSet(np.column_stack(cols))
+
+
+@st.composite
+def basis_objects(draw):
+    """Unit, independent columns as float or int pairs, any of them possibly
+    replaced by a list from pair_lists (each faulty class of the pair parser,
+    and lists of the wrong length), under a possibly wrong ambient_dim."""
+    ambient = draw(st.integers(2, 5))
+    k = draw(st.integers(2, ambient))
+    if draw(st.booleans()):
+        columns = np.eye(ambient, dtype=int)[:, draw(st.permutations(range(ambient)))[:k]]
+        vectors = [[[int(x), 0] for x in col] for col in columns.T]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        c = rng.standard_normal((ambient, k)) + 1j * rng.standard_normal((ambient, k))
+        vectors = _pairs_in(c / np.linalg.norm(c, axis=0))
+        vectors = [vectors[j::k] for j in range(k)]
+    for j in range(k):
+        if draw(st.integers(0, 2 * k)) == 0:
+            vectors[j] = draw(pair_lists)
+    return {"ambient_dim": draw(st.sampled_from([ambient] * 8 + [ambient + 1, "2"])), "vectors": vectors}
+
+
+def _parsed_basis(parse, obj):
+    try:
+        v = parse(obj).vectors
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return v.dtype, v.shape, v.flags.c_contiguous, v.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(obj=basis_objects())
+def test_parse_basis_matches_per_column_reference(obj):
+    assert _parsed_basis(fileformats.parse_basis, obj) == _parsed_basis(_parse_basis_reference, obj)

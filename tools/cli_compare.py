@@ -10,9 +10,11 @@ d = 2 ... 64 and 256 with all three methods, `--order` and `--out`; `weights` pu
 states and complex density matrices at d = 2 ... 32 over dense and pairwise
 Grams; sweeps over both families, failing steps included; `paper-check`;
 malformed inputs (text, bools, null, 3-element pairs, 10**400, NaN and
-Infinity literals, dim below 2, ...); and zeros whose signs eigh reads
+Infinity literals, dim below 2, ...); zeros whose signs eigh reads
 (purely imaginary overlaps and rho off-diagonals with -0.0 real parts, a
-pairwise Gram with an unspecified pair, exactly orthogonal basis columns).
+pairwise Gram with an unspecified pair, exactly orthogonal basis columns);
+echoed extra keys of ints and edge floats (signed zeros, e+12 to e+16,
+subnormals, inf, nan); and a basis with exact zeros under `--order`.
 The corpus depends only on numpy and the seed, not on the code under test.
 
 `run` runs each command (or only the NAMEs given) as `python -m lowdin_kit`
@@ -289,6 +291,30 @@ def _corpus(rng) -> tuple[dict, list]:
     files["basis_orthogonal_pairs.json"] = _basis(cols / np.linalg.norm(cols, axis=0))
     for m in METHODS:
         add(f"ortho.orthogonal_pairs.{m}", ["orthogonalize", "--basis", "basis_orthogonal_pairs.json", "--method", m])
+    # Numbers on each edge of the report writer's one-format path, echoed from
+    # an extra key: ints, signed zeros, e+12 to e+16, subnormals, the largest
+    # double, inf and nan. Drawn after the signed zeros, for the same reason.
+    edges = [0, 3, -7, 2**53 + 1, 0.0, -0.0, 1.0, -7.0, 999999999999.5, 1e12, 1e13, 1e15, 1e16, 5e-324,
+             -2.225073858507e-308, 1e-310, 1.7976931348623157e308, float("inf"), float("nan"), 0.1]
+    note = {"edges": edges, "pairs": [edges[k:k + 2] for k in range(0, len(edges), 2)], "dim": 3}
+    files["basis_echo_edges.json"] = {**_basis(_unit_columns(rng, 5, 4)), "note": note}
+    for m in METHODS:
+        add(f"ortho.echo_edges.{m}", ["orthogonalize", "--basis", "basis_echo_edges.json", "--method", m])
+    o = _overlap(rng, 3)
+    pure = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    add("weights.echo_edges.pure", ["weights", "--state", "state_echo_edges_pure.json"],
+        **{"state_echo_edges_pure.json": {"gram": _gram(o, True), "pure": _pairs(pure), "note": note}})
+    add("weights.echo_edges.rho", ["weights", "--state", "state_echo_edges_rho.json"],
+        **{"state_echo_edges_rho.json": {"gram": _gram(o, False), "rho": _pairs(_density(rng, 3, 2)), "note": note}})
+    # Exact zeros below the diagonal and in the first row's imaginary parts, in
+    # a processing order that is not the natural one.
+    cols = np.triu(_unit_columns(rng, 6, 6))
+    cols[0] = cols[0].real
+    files["basis_zeros.json"] = _basis(cols / np.linalg.norm(cols, axis=0))
+    for m in METHODS:
+        add(f"ortho.zeros.{m}", ["orthogonalize", "--basis", "basis_zeros.json", "--method", m])
+    add("ortho.zeros.gs.order", ["orthogonalize", "--basis", "basis_zeros.json", "--method", "gram-schmidt",
+                                 "--order", "4,1,6,2,5,3"])
     return files, commands
 
 
