@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gram import GramMatrix
+from .gram import _gram2
 from .linalg import _Record
 from .measures import participation_ratio, shannon_entropy
 from .ortho import BasisSet, induce_nonorthogonal, lowdin_symmetric, maximally_coherent_image
@@ -49,10 +49,6 @@ def _row(name, expected, computed, tol) -> CheckRow:
         computed=np.asarray(computed, dtype=float),
         tol=tol,
     )
-
-
-def _gram2(s: float) -> GramMatrix:
-    return GramMatrix(np.array([[1.0, s], [s, 1.0]], dtype=complex))
 
 
 def _beta_weights(s: float, gamma: float):

@@ -11,7 +11,7 @@ Exit codes: 0 ok, 1 reference-check failure, 2 input/parse error,
 outputs are deterministic (fixed field order, 12 significant digits): the
 same input gives the same bytes on the same numpy and BLAS build with the
 same BLAS thread count (README shows a d=256 case that differs across counts).
-The reference checks (`checks`) load only for paper-check and replayed sweep steps.
+The reference checks (`checks`) load only for paper-check.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import warnings
 
 import numpy as np
 
+from . import measures, states
 from .errors import LowdinKitError
 from .fileformats import (
     _CELL,
@@ -34,14 +35,11 @@ from .fileformats import (
     parse_state,
     vector_to_pairs,
 )
-from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _as_real, _ct, _half_power, _ValueRecord
-from .measures import _ZERO_CLAMP, measure_report
+from .gram import _gram2
+from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _as_real, _half_power, _ValueRecord
+from .measures import measure_report
 from .ortho import OrthoMethod, gram_schmidt, lowdin_canonical, lowdin_symmetric
 from .states import (
-    _MIN_NORM2,
-    _MIN_TRACE,
-    _PSD_TOL,
-    _WEIGHT_SUM_TOL,
     DensityOperator,
     PureState,
     lowdin_coeffs,
@@ -246,7 +244,6 @@ _CSV_ROW = ",".join([_CELL] * 6) + "\n"
 
 def _sweep_step(params: dict) -> tuple:
     """w_1, w_2, entropy, pr, ipr of one step through the library, or its typed error."""
-    from .checks import _gram2  # as in cmd_paper_check
     if "gamma" in params:
         w = weights_pure(normalize_pure(_gram2(params["s"]), [1.0, params["gamma"]]))
     else:
@@ -260,10 +257,11 @@ def _sweep_table(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows w_1, w_2, entropy, pr, ipr of n steps in one stacked pass, and the
     steps proven to pass every check of `_sweep_step`. Each parameter is a
     scalar or an n-vector from `parse_sweep_spec`'s domains, so each O and rho
-    is finite and exactly Hermitian, with unit diagonal or trace; the mask
-    proves only what depends on a step's arithmetic. Every step does the
-    library's arithmetic in the library's order, so a proven step's row equals
-    `_sweep_step`'s to the bit; the others may hold anything."""
+    is finite and exactly Hermitian, with unit diagonal or trace. Past their
+    eigh calls the steps run the library's own kernels, and the mask proves
+    what the library raises on, from the same computed values; so a proven
+    step's row equals `_sweep_step`'s to the bit, the others may hold anything.
+    The entropy is summed here: no stacked sum keeps the library's bytes from 8 weights up."""
     col = {name: np.broadcast_to(value, (n,)) for name, value in params.items()}
     with np.errstate(all="ignore"):
         o = np.zeros((n, 2, 2), dtype=complex)
@@ -275,23 +273,20 @@ def _sweep_table(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
         if "gamma" in col:
             a = np.ones((n, 2), dtype=complex)
             a[:, 1] = col["gamma"]
-            norm2 = np.real(a.conj()[:, None, :] @ o @ a[:, :, None])[:, 0, 0]
-            ok &= (norm2 > _MIN_NORM2) & np.isfinite(norm2)
-            w = np.abs(half @ (a / np.sqrt(norm2)[:, None])[:, :, None])[:, :, 0] ** 2
-            w /= w.sum(axis=1)[:, None]
+            norm2 = states._norm2(o, a)
+            ok &= (norm2 > states._MIN_NORM2) & np.isfinite(norm2)
+            w = states._pure_weights(half, a / np.sqrt(norm2)[:, None])
         else:
             rho = np.zeros((n, 2, 2), dtype=complex)
             rho[:, 0, 0], rho[:, 1, 1] = col["p"], 1.0 - col["p"]
             rho[:, 0, 1] = rho[:, 1, 0] = col["q"]
-            ok &= np.linalg.eigh(rho)[0][:, 0] >= -_PSD_TOL
-            m = half @ rho @ half
-            tr = np.real(np.trace(m, axis1=1, axis2=2))
-            ok &= tr > _MIN_TRACE
-            m = m / tr[:, None, None]
-            w = np.clip(np.real(np.diagonal(0.5 * (m + _ct(m)), axis1=1, axis2=2)), 0.0, None)
-            ok &= np.abs(w.sum(axis=1) - 1.0) <= _WEIGHT_SUM_TOL
-        ipr = (w**2).sum(axis=1)
-        entropy = -np.where(w > _ZERO_CLAMP, w * np.log2(w), 0.0).sum(axis=1)
+            ok &= np.linalg.eigh(rho)[0][:, 0] >= -states._PSD_TOL
+            m, tr = states._congruence(half, rho)
+            ok &= tr > states._MIN_TRACE
+            w, total = states._density_weights(states._lowdin_transform(m, tr[:, None, None]))
+            ok &= np.abs(total - 1.0) <= states._WEIGHT_SUM_TOL
+        ipr = measures._ipr(w)
+        entropy = -np.where(w > measures._ZERO_CLAMP, w * np.log2(w), 0.0).sum(axis=1)
         table = np.column_stack([w, entropy, 1.0 / ipr, ipr])
     return table, ok
 
@@ -326,7 +321,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_paper_check(args) -> int:
-    from .checks import reference_rows, render_table  # only here and in _sweep_step: about 3 ms a process
+    from .checks import reference_rows, render_table  # only here: about 3 ms a process
     rows = reference_rows()
     sys.stdout.write(render_table(rows) + "\n")
     return 0 if all(r.passed for r in rows) else 1

@@ -86,6 +86,10 @@ class GramMatrix(linalg._Record):
         return s
 
 
+def _gram2(s: float) -> GramMatrix:
+    return GramMatrix(np.array([[1.0, s], [s, 1.0]], dtype=complex))
+
+
 def _is_integer(k) -> bool:
     return isinstance(k, (int, np.integer)) and not isinstance(k, bool)
 

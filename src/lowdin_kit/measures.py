@@ -42,13 +42,17 @@ def participation_ratio(w) -> float:
 
 def inverse_participation_ratio(w) -> float:
     """IPR = sum w_k^2; higher values mean stronger localization."""
-    weights = _distribution(w).weights
-    return float((weights**2).sum())
+    return float(_ipr(_distribution(w).weights))
+
+
+def _ipr(w: np.ndarray) -> np.ndarray:
+    """sum w_k^2 over the last axis, for one distribution or a stack of them."""
+    return (w**2).sum(-1)
 
 
 def measure_report(w) -> MeasureReport:
     w = _distribution(w)
-    ipr = inverse_participation_ratio(w)
+    ipr = float(_ipr(w.weights))
     return MeasureReport(
         entropy=shannon_entropy(w),
         participation_ratio=1.0 / ipr,

@@ -3,6 +3,8 @@
 Coefficients live in the non-orthogonal basis; the symmetric
 orthogonalizer O^{1/2} maps them onto the orthonormal (computational)
 frame, where the squared magnitudes form the Lowdin weight distribution.
+Its private kernels work over leading stack axes and refuse nothing: the ops
+raise on what they return for one state, the CLI's sweep masks a stack on it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,42 @@ def _check_gram(gram) -> None:
         raise ValueError(f"gram must be a GramMatrix, got {type(gram).__name__}")
 
 
+def _norm2(o: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """a+ O a over leading stack axes. One state's products go through np.dot: matmul
+    gives the same bits at a higher cost per call."""
+    if a.ndim == 1:
+        return a.conj().dot(o).dot(a).real
+    return (a.conj()[..., None, :] @ o @ a[..., None])[..., 0, 0].real
+
+
+def _pure_weights(half: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """|O^{1/2} a|^2 over its sum, over leading stack axes (.T puts them last, where the sums
+    broadcast); O^{1/2} a is formed as in _norm2."""
+    w = np.abs(half.dot(a) if a.ndim == 1 else (half @ a[..., None])[..., 0]) ** 2
+    return (w.T / w.sum(-1)).T
+
+
+def _congruence(half: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """m = O^{1/2} rho O^{1/2} and its real trace Tr(O rho), over leading stack axes."""
+    m = half @ rho @ half
+    return m, m.trace(0, -2, -1).real
+
+
+def _lowdin_transform(m: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """Unit-trace Hermitian part of congruences m of traces tr, in m's buffer; a stack's tr takes
+    two trailing unit axes to broadcast against m. PSD as rho is, so not checked."""
+    m /= tr
+    m += m.conj().swapaxes(-1, -2)
+    m *= 0.5
+    return m
+
+
+def _density_weights(rho_lowdin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal of rho_L clipped at 0, and its sum, over leading stack axes."""
+    w = np.maximum(rho_lowdin.diagonal(0, -2, -1).real, 0.0)
+    return w, w.sum(-1)
+
+
 def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
     """Complex copy a of raw, one finite entry per basis vector, and a finite a+ O a."""
     _check_gram(gram)
@@ -32,7 +70,7 @@ def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
     if a.shape[0] != gram.dim:
         raise ValueError(f"coefficient length {a.shape[0]} != overlap dimension {gram.dim}")
     with np.errstate(over="ignore", invalid="ignore"):  # an inf entry or a huge one is refused below
-        norm2 = float(a.conj().dot(gram.matrix).dot(a).real)
+        norm2 = float(_norm2(gram.matrix, a))
     if not math.isfinite(norm2):  # the entries are scanned only then, not on every valid state
         what = "contain non-finite entries" if not np.isfinite(a).all() else f"overflow a+Oa = {norm2!r}"
         raise ValueError(f"state coefficients {what}")
@@ -85,8 +123,10 @@ class DensityOperator(_Record):
         if rho.shape != (d, d):
             raise ValueError(f"coefficient matrix shape {rho.shape} != ({d}, {d})")
         rho = _unit_trace_psd(rho, "coefficient matrix")
-        half = gram.sqrt
-        self._store({"gram": gram, "coeffs": rho, "_rho_lowdin": _lowdin_transform(half @ rho @ half)})
+        m, tr = _congruence(gram.sqrt, rho)
+        if float(tr) <= _MIN_TRACE:
+            raise DegenerateTrace(f"Tr(O rho) = {float(tr)!r} is too small to normalize")
+        self._store({"gram": gram, "coeffs": rho, "_rho_lowdin": _lowdin_transform(m, tr)})
 
     @property
     def dim(self) -> int:
@@ -144,21 +184,7 @@ def weights_pure(state: PureState) -> WeightDistribution:
     """Lowdin weights w_k = |b_k|^2 / ||b||^2 of a pure state, b = O^{1/2} a.
     Divided by their own sum, as rho_L is by its trace, they are a distribution
     by construction and are not checked again."""
-    w = np.abs(lowdin_coeffs(state)) ** 2
-    return _derived(WeightDistribution, weights=w / w.sum())
-
-
-def _lowdin_transform(m: np.ndarray) -> np.ndarray:
-    """Unit-trace Hermitian part of a congruence m = O^{1/2} rho O^{1/2}, formed
-    in m's own buffer. A congruence of a PSD rho is PSD, so the result needs no
-    eigendecomposition to be trusted."""
-    tr = float(m.trace().real)
-    if tr <= _MIN_TRACE:
-        raise DegenerateTrace(f"Tr(O rho) = {tr!r} is too small to normalize")
-    m /= tr
-    m += m.conj().T
-    m *= 0.5
-    return m
+    return _derived(WeightDistribution, weights=_pure_weights(state.gram.sqrt, state.coeffs))
 
 
 def lowdin_density(op: DensityOperator) -> LowdinTransformedState:
@@ -171,10 +197,9 @@ def weights_density(op: DensityOperator) -> WeightDistribution:
     rho's PSD tolerance can leave a weight slightly below 0; it is clipped, and
     ValueError("weights sum to ...") bounds how much may be clipped. A clipped
     diagonal of the finite rho_L needs none of WeightDistribution's other checks."""
-    w = np.maximum(op._rho_lowdin.diagonal().real, 0.0)
-    total = float(w.sum())
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValueError(f"weights sum to {total!r}, not 1 within {_WEIGHT_SUM_TOL}")
+    w, total = _density_weights(op._rho_lowdin)
+    if abs(float(total) - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError(f"weights sum to {float(total)!r}, not 1 within {_WEIGHT_SUM_TOL}")
     return _derived(WeightDistribution, weights=w)
 
 
@@ -210,7 +235,8 @@ def offdiagonal_decomposition(op: DensityOperator) -> tuple[np.ndarray, np.ndarr
     remainder.
     """
     half, p = op.gram.sqrt, op.coeffs.diagonal()
-    artifact = _lowdin_transform((half * (p / p.sum().real)) @ half)
+    artifact = (half * (p / p.sum().real)) @ half
+    _lowdin_transform(artifact, artifact.trace().real)
     artifact.reshape(-1)[:: op.dim + 1] = 0.0  # the diagonal, as a view of the fresh array
     genuine = op._rho_lowdin - artifact
     genuine.reshape(-1)[:: op.dim + 1] = 0.0

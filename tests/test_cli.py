@@ -3,7 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import edge_psd_densities, shared_component_columns
-from lowdin_kit import (DensityOperator, LowdinKitError, OverlapSpec, gram_from_overlaps,
+from conftest import corpus_rng, edge_psd_densities, shared_component_columns
+from lowdin_kit import (DensityOperator, LowdinKitError, OverlapSpec, closed_form_2d_weights, gram_from_overlaps,
                         measure_report, normalize_pure, weights_density, weights_pure)
-from lowdin_kit import cli
+from lowdin_kit import cli, measures, states
 from lowdin_kit.cli import AnalysisReport, main, parse_sweep_spec, run_sweep
 from lowdin_kit.fileformats import parse_state
 
@@ -487,6 +487,59 @@ class TestSweep:
         assert min(seen[name] for name in ("NotPositiveDefinite", "ValueError", "InvalidParameters",
                                            "DegenerateTrace")) >= 50, seen
 
+    def test_sweep_and_library_share_kernels(self, monkeypatch):
+        # One arithmetic: the stacked pass reaches the state layer's kernels
+        # with stacks of n = 7 steps, the per-state ops reach the same kernels
+        # with one d = 3 state, and nothing else computes weights or traces.
+        calls = defaultdict(list)
+        for module, name in ((states, "_norm2"), (states, "_pure_weights"), (states, "_congruence"),
+                             (states, "_lowdin_transform"), (states, "_density_weights"), (measures, "_ipr")):
+            def recorded(*args, kernel=getattr(module, name), name=name):
+                calls[name].append(tuple(np.shape(x) for x in args))
+                return kernel(*args)
+            monkeypatch.setattr(module, name, recorded)
+        for fixed in ({"gamma": 0.6}, {"p": 0.6, "q": 0.2}):
+            run_sweep(parse_sweep_spec({"parameter": "s", "range": [-0.5, 0.5], "steps": 7, "fixed": fixed}))
+        assert dict(calls) == {
+            "_norm2": [((7, 2, 2), (7, 2))], "_pure_weights": [((7, 2, 2), (7, 2))],
+            "_congruence": [((7, 2, 2), (7, 2, 2))], "_lowdin_transform": [((7, 2, 2), (7, 1, 1))],
+            "_density_weights": [((7, 2, 2),)], "_ipr": [((7, 2),), ((7, 2),)]}
+        calls.clear()
+        g = gram_from_overlaps(OverlapSpec(3, [(1, 2, 0.3), (2, 3, -0.2j)]))
+        measure_report(weights_pure(normalize_pure(g, [1.0, 0.5j, -0.2])))
+        op = DensityOperator(g, np.diag([0.5, 0.3, 0.2]))
+        measure_report(weights_density(op))
+        assert dict(calls) == {
+            "_norm2": [((3, 3), (3,))], "_pure_weights": [((3, 3), (3,))],
+            "_congruence": [((3, 3), (3, 3))], "_lowdin_transform": [((3, 3), ())],
+            "_density_weights": [((3, 3),)], "_ipr": [((3,),), ((3,),)]}
+
+    def test_rows_match_exact_2x2_oracle(self):
+        # Sharing no code with the library, so that a kernel slip that moves the
+        # sweep and the library together still fails: O = [[1, s], [s, 1]] has
+        # O^{1/2} = [[c, t], [t, c]] with c = (r+ + r-) / 2 and t = s / (r+ + r-),
+        # r+- = sqrt(1 +- s), a form with no cancellation. Pure rows are
+        # (c + t gamma)^2 and (t + c gamma)^2 over their sum; density rows are
+        # the closed-form 2-d weights.
+        rng = corpus_rng(71)
+        n = 4000
+        s = rng.uniform(-0.99, 0.99, n)
+        gamma = rng.normal(0.0, 3.0, n)
+        p = rng.uniform(0.0, 1.0, n)
+        q = rng.uniform(-1.0, 1.0, n) * np.sqrt(p * (1.0 - p))
+        r = np.sqrt(1.0 + s) + np.sqrt(1.0 - s)
+        c, t = r / 2.0, s / r
+        pure = np.column_stack([(c + t * gamma) ** 2, (t + c * gamma) ** 2])
+        pure /= pure.sum(axis=1, keepdims=True)
+        density = np.array([closed_form_2d_weights(*x).weights for x in zip(p.tolist(), q.tolist(), s.tolist())])
+        for params, w in (({"s": s, "gamma": gamma}, pure), ({"s": s, "p": p, "q": q}, density)):
+            table, proven = cli._sweep_table(params, n)
+            assert proven.all()
+            entropy = [-sum(x * np.log2(x) for x in row if x > 1e-15) for row in w.tolist()]
+            ipr = w[:, 0] ** 2 + w[:, 1] ** 2
+            oracle = np.column_stack([w, entropy, 1.0 / ipr, ipr])
+            assert np.abs(table - oracle).max() <= 1e-13
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(spec=accepted_sweep_specs())
     def test_accepted_specs_match_reference(self, spec):
@@ -938,6 +991,15 @@ def test_output_matches_golden_bytes(tmp_path, command, flag, source, expected):
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
 
 
+def test_replayed_sweep_refusal_matches_golden(capsys, tmp_path):
+    # Step 9's O has lambda_min 1e-13, which the stacked pass cannot prove; its
+    # replay through the library refuses it, and nothing is written.
+    out = tmp_path / "singular.csv"
+    assert run_cli(capsys, ["sweep", "--spec", str(GOLDEN / "singular_sweep.json"), "--out", str(out)]) == (
+        3, "", (GOLDEN / "singular_sweep.stderr").read_text())
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("options, expected", [
     (["--method", "gram-schmidt"], "readme_basis.gram-schmidt.report.json"),
     (["--method", "gram-schmidt", "--order", "2,1"], "readme_basis.gram-schmidt.order-2-1.report.json"),
@@ -969,8 +1031,8 @@ class TestPaperCheck:
         assert not any(ln.endswith("FAIL") for ln in lines)
 
     def test_checks_load_only_where_they_run(self, tmp_path, beta_state_file, plane_basis_file):
-        # A fresh process: weights and orthogonalize leave the reference
-        # checks unloaded; a replayed sweep step and paper-check load them.
+        # A fresh process: weights, orthogonalize and a sweep whose failing
+        # step is replayed leave the reference checks unloaded; paper-check loads them.
         singular = write_json(tmp_path / "singular.json", {"parameter": "s", "range": [0.5, 0.9999999999999],
                                                            "steps": 9, "fixed": {"gamma": 1.0}})
         script = f"""
@@ -984,16 +1046,17 @@ with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stder
     loaded.append("lowdin_kit.checks" in sys.modules)
     table, proven = cli._sweep_table({{"gamma": 0.6, "s": np.array([0.4])}}, 1)
     row = cli._sweep_step({{"gamma": 0.6, "s": 0.4}})
+    codes.append(cli.main(["sweep", "--spec", {singular!r}, "--out", {str(tmp_path / "out.csv")!r}]))
     loaded.append("lowdin_kit.checks" in sys.modules)
-    codes += [cli.main(["sweep", "--spec", {singular!r}, "--out", {str(tmp_path / "out.csv")!r}]),
-              cli.main(["paper-check"])]
+    codes.append(cli.main(["paper-check"]))
+    loaded.append("lowdin_kit.checks" in sys.modules)
 print(loaded, codes, bool(proven.all()), tuple(table[0]) == row, out.getvalue().endswith(" 0 failed\\n"))
 print(err.getvalue(), end="")
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
         assert proc.stderr == ""
         assert proc.stdout.splitlines() == [
-            "[False, False, True] [0, 0, 3, 0] True True True",
+            "[False, False, False, True] [0, 0, 3, 0] True True True",
             "error: NotPositiveDefinite: smallest eigenvalue 1.000e-13 is at or below 1e-12 "
             "(largest eigenvalue 2.000e+00, dimension 2)"]
 

@@ -88,3 +88,17 @@ def test_corpus_covers_echoed_edges_and_zero_entries(tmp_path):
             assert number in text
     vectors = json.loads((tmp_path / "basis_zeros.json").read_text())["vectors"]
     assert sum(p == [0.0, 0.0] for col in vectors for p in col) == 15
+
+
+def test_corpus_covers_replayed_sweep_refusals(tmp_path):
+    # A density sweep that ends in DegenerateTrace and a pure sweep whose
+    # a+ O a overflows: both refused by the library when the step is replayed.
+    assert _tool("write", tmp_path).returncode == 0
+    commands = {c["name"]: c["argv"] for c in json.loads((tmp_path / "commands.json").read_text())["commands"]}
+    assert commands["sweep.density_degenerate"][:3] == ["sweep", "--spec", "sweep_density_degenerate.json"]
+    assert commands["sweep.pure_overflow"][:3] == ["sweep", "--spec", "sweep_pure_overflow.json"]
+    assert json.loads((tmp_path / "sweep_density_degenerate.json").read_text()) == {
+        "parameter": "s", "range": [0.99999999998, 0.99999999999], "steps": 5,
+        "fixed": {"p": 0.5, "q": -0.500000000005}}
+    assert json.loads((tmp_path / "sweep_pure_overflow.json").read_text()) == {
+        "parameter": "gamma", "range": [1e154, 1e155], "steps": 5, "fixed": {"s": 0.3}}

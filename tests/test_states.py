@@ -29,7 +29,7 @@ from lowdin_kit import (
     weights_density,
     weights_pure,
 )
-from lowdin_kit import states
+from lowdin_kit import measures, states
 from lowdin_kit.states import LowdinTransformedState, WeightDistribution, _lowdin_transform
 
 S_PHI = (1.0 + np.sqrt(2.0)) / np.sqrt(6.0)
@@ -141,9 +141,13 @@ class TestLowdinDensity:
         got = lowdin_density(op).matrix.real
         assert np.allclose(got, [[0.5, 0.25], [0.25, 0.5]], atol=1e-12)
 
-    def test_degenerate_trace_guard(self):
-        with pytest.raises(DegenerateTrace):
-            _lowdin_transform(np.zeros((2, 2), dtype=complex))
+    def test_degenerate_trace_guard(self, monkeypatch):
+        # The kernel refuses nothing: its caller refuses a zero trace before
+        # the kernel would divide by it, which would warn.
+        zero = np.zeros((2, 2), dtype=complex)
+        monkeypatch.setattr(states, "_congruence", lambda half, rho: (zero, zero.trace().real))
+        with pytest.raises(DegenerateTrace, match=r"^Tr\(O rho\) = 0\.0 is too small to normalize$"):
+            DensityOperator(overlap2(0.3), np.eye(2) / 2)
 
     def test_output_psd_trace_one(self):
         rng = corpus_rng(51)
@@ -466,13 +470,38 @@ class TestGramArgument:
             build(gram)
 
 
+class TestKernelsOverStacks:
+    @pytest.mark.parametrize("d", [2, 3, 8, 17, 32, 64])
+    def test_stack_equals_each_state_to_the_bit(self, d):
+        # The per-state ops reach the kernels with one state, the CLI's sweep
+        # with a stack. _norm2 and _pure_weights form one state's products
+        # by np.dot and a stack's by matmul, which must agree to the bit.
+        rng = corpus_rng(83 + d)
+        grams = [random_gram_from(rng, d) for _ in range(4)]
+        o, half = np.stack([g.matrix for g in grams]), np.stack([g.sqrt for g in grams])
+        a = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+        z = rng.normal(size=(4, d, d)) + 1j * rng.normal(size=(4, d, d))
+        rho = z @ z.conj().swapaxes(-1, -2)
+        m, tr = states._congruence(half, rho)
+        rho_l = states._lowdin_transform(m, tr[:, None, None])
+        w, total = states._density_weights(rho_l)
+        stacked = (states._norm2(o, a), states._pure_weights(half, a), tr, rho_l, w, total, measures._ipr(w))
+        for i in range(4):
+            m_i, tr_i = states._congruence(half[i], rho[i])
+            rho_l_i = states._lowdin_transform(m_i, tr_i)
+            w_i, total_i = states._density_weights(rho_l_i)
+            single = (states._norm2(o[i], a[i]), states._pure_weights(half[i], a[i]), tr_i, rho_l_i, w_i, total_i,
+                      measures._ipr(w_i))
+            assert [np.asarray(x[i]).tobytes() for x in stacked] == [np.asarray(x).tobytes() for x in single]
+
+
 class TestRhoLowdinFormedOnce:
     def test_one_congruence_of_rho_and_one_of_its_diagonal(self, monkeypatch):
         calls = []
 
-        def counted(m):
+        def counted(m, tr):
             calls.append(m.copy())  # before it is normalized in place
-            return _lowdin_transform(m)
+            return _lowdin_transform(m, tr)
 
         monkeypatch.setattr(states, "_lowdin_transform", counted)
         rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
@@ -487,7 +516,8 @@ class TestRhoLowdinFormedOnce:
         # product through diag(p) to the bit.
         assert calls[1].tobytes() == ((half * p) @ half).tobytes() == (half @ np.diag(p) @ half).tobytes()
         # Every derived result reads the one rho_L, bit for bit.
-        expected = _lowdin_transform(half @ op.coeffs @ half)
+        expected = half @ op.coeffs @ half
+        _lowdin_transform(expected, expected.trace().real)
         assert np.array_equal(rho_l, expected)
         assert np.array_equal(w, np.real(np.diag(expected)))
         assert np.array_equal(genuine + artifact, expected - np.diag(np.diag(expected)))

@@ -8,7 +8,8 @@
 commands that use them in DIR/commands.json: `orthogonalize` bases at
 d = 2 ... 64 and 256 with all three methods, `--order` and `--out`; `weights` pure
 states and complex density matrices at d = 2 ... 32 over dense and pairwise
-Grams; sweeps over both families, failing steps included; `paper-check`;
+Grams; sweeps over both families, failing steps included (among them a
+degenerate Tr(O rho) and an overflowing a+ O a, refused on replay); `paper-check`;
 malformed inputs (text, bools, null, 3-element pairs, 10**400, NaN and
 Infinity literals, dim below 2, ...); zeros whose signs eigh reads
 (purely imaginary overlaps and rho off-diagonals with -0.0 real parts, a
@@ -315,6 +316,16 @@ def _corpus(rng) -> tuple[dict, list]:
         add(f"ortho.zeros.{m}", ["orthogonalize", "--basis", "basis_zeros.json", "--method", m])
     add("ortho.zeros.gs.order", ["orthogonalize", "--basis", "basis_zeros.json", "--method", "gram-schmidt",
                                  "--order", "4,1,6,2,5,3"])
+    # Sweeps whose first unproven step the library refuses on replay: Tr(O rho)
+    # below its floor (exit 3) and an overflowing a+ O a (exit 2). Added last.
+    refusals = {
+        "density_degenerate": {"parameter": "s", "range": [0.99999999998, 0.99999999999], "steps": 5,
+                               "fixed": {"p": 0.5, "q": -0.500000000005}},
+        "pure_overflow": {"parameter": "gamma", "range": [1e154, 1e155], "steps": 5, "fixed": {"s": 0.3}},
+    }
+    for name, obj in refusals.items():
+        add(f"sweep.{name}", ["sweep", "--spec", f"sweep_{name}.json", "--out", f"out/{name}.csv"],
+            **{f"sweep_{name}.json": obj})
     return files, commands
 
 
