@@ -29,14 +29,11 @@ from .errors import LowdinKitError
 from .fileformats import (
     _CELL,
     _json_text,
-    basis_to_dict,
-    matrix_to_pairs,
     parse_basis,
     parse_state,
-    vector_to_pairs,
 )
 from .gram import _gram2
-from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _as_real, _half_power, _ValueRecord
+from .linalg import LAMBDA_FLOOR, HermitianEigenDecomposition, _as_real, _half_power, _Record, _ValueRecord
 from .measures import measure_report
 from .ortho import OrthoMethod, gram_schmidt, lowdin_canonical, lowdin_symmetric
 from .states import (
@@ -50,20 +47,22 @@ from .states import (
     weights_pure,
 )
 
-class AnalysisReport(_ValueRecord):
+class AnalysisReport(_Record):
     """Serializable record of one analysis run; unset fields are omitted
-    from the JSON form, which round-trips losslessly."""
+    from the JSON form, which round-trips losslessly. The numeric fields may
+    hold arrays, a complex one written as [re, im] pairs, or the lists a JSON
+    form reads back as; so a report compares by identity."""
 
     _fields = ("command", "input", "method", "order", "basis", "transform", "distortion", "orthonormality_error",
                "lowdin_coefficients", "weights", "rho_lowdin", "offdiagonal_artifact", "offdiagonal_genuine",
                "measures")
 
     def __init__(self, command: str, input: dict, method: str | None = None, order: list | None = None,
-                 basis: list | None = None, transform: list | None = None, distortion: float | None = None,
-                 orthonormality_error: float | None = None, lowdin_coefficients: list | None = None,
-                 weights: list | None = None, rho_lowdin: list | None = None,
-                 offdiagonal_artifact: list | None = None, offdiagonal_genuine: list | None = None,
-                 measures: dict | None = None):
+                 basis: np.ndarray | list | None = None, transform: np.ndarray | list | None = None,
+                 distortion: float | None = None, orthonormality_error: float | None = None,
+                 lowdin_coefficients: np.ndarray | list | None = None, weights: np.ndarray | list | None = None,
+                 rho_lowdin: np.ndarray | list | None = None, offdiagonal_artifact: np.ndarray | list | None = None,
+                 offdiagonal_genuine: np.ndarray | list | None = None, measures: dict | None = None):
         self.__dict__.update(
             command=command, input=input, method=method, order=order, basis=basis, transform=transform,
             distortion=distortion, orthonormality_error=orthonormality_error,
@@ -128,8 +127,8 @@ def cmd_orthogonalize(args) -> int:
         input=obj,
         method=result.method.value,
         order=order,
-        basis=basis_to_dict(result.basis)["vectors"],
-        transform=matrix_to_pairs(result.transform),
+        basis=result.basis.vectors.T,
+        transform=result.transform.reshape(-1),
         distortion=result.distortion,
         orthonormality_error=result.orthonormality_error,
     )
@@ -142,20 +141,20 @@ def cmd_weights(args) -> int:
     state = parse_state(obj)
     if isinstance(state, PureState):
         w = weights_pure(state)
-        extra = {"lowdin_coefficients": vector_to_pairs(lowdin_coeffs(state))}
+        extra = {"lowdin_coefficients": lowdin_coeffs(state)}
     else:
         w = weights_density(state)
         artifact, genuine = offdiagonal_decomposition(state)
         extra = {
-            "rho_lowdin": matrix_to_pairs(lowdin_density(state).matrix),
-            "offdiagonal_artifact": matrix_to_pairs(artifact),
-            "offdiagonal_genuine": matrix_to_pairs(genuine),
+            "rho_lowdin": lowdin_density(state).matrix.reshape(-1),
+            "offdiagonal_artifact": artifact.reshape(-1),
+            "offdiagonal_genuine": genuine.reshape(-1),
         }
     m = measure_report(w)
     report = AnalysisReport(
         command="weights",
         input=obj,
-        weights=w.weights.tolist(),
+        weights=w.weights,
         measures={
             "entropy_bits": m.entropy,
             "participation_ratio": m.participation_ratio,

@@ -3,10 +3,11 @@
 Complex scalars are encoded as [re, im] pairs; matrices as flat
 row-major lists of pairs; indices in files are 1-based. Every number in
 an input file must be a JSON number: strings and booleans are rejected,
-however they read. The encoders below return full-precision floats. The
-report writer (`_json_text`) rounds each number once to 12 significant digits,
-by one % per number list; one numpy pass finds the few texts %.12g writes
-unlike json.dumps (integral, subnormal, non-finite), and only those are fixed.
+however they read. Reports hand their arrays to the writer (`_json_text`),
+which reads a complex array's float view as its [re, im] pairs. It rounds
+each number once to 12 significant digits, by one % per number list or
+array; one numpy pass finds the few texts %.12g writes unlike json.dumps
+(integral, subnormal, non-finite), and only those are fixed.
 
 Schemas:
     gram.json   {"dim": d, "overlaps": [[i, j, re, im], ...]}     (i < j)
@@ -40,17 +41,12 @@ _FORMAT = f".{SIGNIFICANT_DIGITS}g"
 _CELL = "%" + _FORMAT
 
 
-def round12(x: float) -> float:
-    """Round to 12 significant digits (idempotent)."""
-    return float(format(float(x), _FORMAT))
-
-
 # The JSON spelling (json.dumps's default allow_nan) of each non-finite text.
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _number_text(x) -> str:
-    """json.dumps(round12(x)) of a float x, json.dumps(x) of an int or a bool."""
+    """json.dumps of a float x rounded to 12 significant digits, json.dumps(x) of an int or a bool."""
     if isinstance(x, float):
         text = _CELL % x
         return _NON_FINITE.get(text) or float.__repr__(float(text))
@@ -72,22 +68,31 @@ def _layout(shape: list, indent: str, fixed=(), whole=()) -> str:
     return buf.tobytes().decode("ascii")
 
 
-def _number_list(items: list | tuple, indent: str) -> str | None:
-    """_json_text of a list of ints and floats nested to a fixed shape, by one %
-    over its template, or None. %.12g writes json.dumps(round12(x)) unless that
+def _number_list(items: list | tuple | np.ndarray, indent: str) -> str | None:
+    """_json_text of a float or complex array, or of a list of ints and floats
+    nested to a fixed shape, by one % over its template, or None. A complex
+    array is written as [re, im] pairs: the float view of its C-ordered copy.
+    %.12g writes json.dumps of x rounded to 12 significant digits unless that
     is integral below 1e16, subnormal or not finite: one numpy pass flags those
     x (and every int), %r writes the integral ones below 1e12, _number_text the rest."""
-    shape, flat = [len(items)], list(items)
-    try:
-        # Three deep at most, as in reports: deeper lists recurse, so a deep echo still raises.
-        while isinstance(flat[0], (list, tuple)) and len(shape) < 3:
-            if len(lengths := set(map(len, flat))) > 1:
-                return None
-            shape.append(lengths.pop())
-            flat = list(chain.from_iterable(flat))
-        a = np.fromiter(flat, float, len(flat))
-    except (IndexError, TypeError, ValueError, OverflowError):  # an empty or ragged list, or no number
-        return None
+    if isinstance(items, np.ndarray):
+        pairs = items.dtype.kind == "c"
+        a = np.ascontiguousarray(items, complex if pairs else float)
+        shape = [*a.shape, 2] if pairs else list(a.shape)
+        a = a.view(float).ravel()  # the 1-D a the flag pass indexes, as flat
+        flat = a.tolist()
+    else:
+        shape, flat = [len(items)], list(items)
+        try:
+            # Three deep at most, as in reports: deeper lists recurse, so a deep echo still raises.
+            while isinstance(flat[0], (list, tuple)) and len(shape) < 3:
+                if len(lengths := set(map(len, flat))) > 1:
+                    return None
+                shape.append(lengths.pop())
+                flat = list(chain.from_iterable(flat))
+            a = np.fromiter(flat, float, len(flat))
+        except (IndexError, TypeError, ValueError, OverflowError):  # an empty or ragged list, or no number
+            return None
     with np.errstate(invalid="ignore"):  # inf - inf
         gap, size = np.abs(a - np.rint(a)), np.abs(a)
         fixed = np.flatnonzero(~((gap > 1e-11 * size) & (size >= 1e-307)))
@@ -104,8 +109,9 @@ def _number_list(items: list | tuple, indent: str) -> str | None:
 
 def _json_text(obj, indent: str = "") -> str:
     """json.dumps(obj, indent=2) with every float rounded once to 12
-    significant digits, for obj written at indent. Dict keys must be
-    strings, as they are in every report."""
+    significant digits, for obj written at indent, an array as its nested
+    list (of [re, im] pairs, if complex). Dict keys must be strings, as
+    they are in every report."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -118,8 +124,8 @@ def _json_text(obj, indent: str = "") -> str:
             return "{}"
         items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
         brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             return "[]"
         if (text := _number_list(obj, indent)) is not None:
             return text
@@ -141,16 +147,6 @@ def _as_pair(item, what: str) -> complex:
     return complex(_as_real(item[0], what), _as_real(item[1], what))
 
 
-def _pairs(a) -> list:
-    """Plain-float [re, im] pairs of an array, nested like its axes."""
-    a = np.asarray(a, dtype=complex)
-    return np.stack((a.real, a.imag), -1).tolist()
-
-
-def vector_to_pairs(v) -> list[list[float]]:
-    return _pairs(np.ravel(v))
-
-
 def pairs_to_vector(items, what: str) -> np.ndarray:
     """Complex vector of [re, im] number pairs, in one call where it can; _as_pair words every fault."""
     if not isinstance(items, list) or not items:
@@ -161,11 +157,6 @@ def pairs_to_vector(items, what: str) -> np.ndarray:
             if set(map(type, flat)) <= {int, float}:
                 return np.array(flat, dtype=float).view(complex)
     return np.array([_as_pair(p, what) for p in items], dtype=complex)
-
-
-def matrix_to_pairs(m) -> list[list[float]]:
-    """Row-major flat encoding of a complex matrix."""
-    return vector_to_pairs(m)
 
 
 def pairs_to_matrix(items, dim: int, what: str) -> np.ndarray:
@@ -223,13 +214,6 @@ def parse_basis(obj) -> BasisSet:
             )
         cols.append(col)
     return BasisSet(np.column_stack(cols))
-
-
-def basis_to_dict(b: BasisSet) -> dict:
-    return {
-        "ambient_dim": b.ambient_dim,
-        "vectors": _pairs(b.vectors.T),
-    }
 
 
 def parse_state(obj) -> PureState | DensityOperator:

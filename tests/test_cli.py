@@ -308,8 +308,17 @@ class TestWeights:
         code, _, _ = run_cli(capsys, ["weights", "--state", state])
         assert code == 2
 
-    def test_report_round_trips(self, capsys, beta_state_file):
-        _, out, _ = run_cli(capsys, ["weights", "--state", beta_state_file])
+    @pytest.mark.parametrize("argv", [
+        ["weights", "--state", "readme_pure.json"],
+        ["weights", "--state", "readme_rho.json"],
+        *(["orthogonalize", "--basis", "readme_basis.json", "--method", m]
+          for m in ("gram-schmidt", "lowdin-sym", "lowdin-can")),
+        ["orthogonalize", "--basis", "readme_basis.json", "--method", "gram-schmidt", "--order", "2,1"],
+    ], ids=["pure", "rho", "gram-schmidt", "lowdin-sym", "lowdin-can", "gram-schmidt-order"])
+    def test_report_round_trips(self, capsys, argv):
+        # The CLI writes its arrays; the report read back holds lists, which
+        # the writer rewrites as the same bytes.
+        _, out, _ = run_cli(capsys, [*argv[:2], str(GOLDEN / argv[2]), *argv[3:]])
         report = AnalysisReport(**json.loads(out))
         assert report.to_json() == out
 

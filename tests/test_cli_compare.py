@@ -31,6 +31,29 @@ def test_write_run_compare(tmp_path):
     assert result.stdout.startswith(f"{names[0]}: stdout differ")
 
 
+def test_runs_on_one_corpus_leave_each_other_alone(tmp_path):
+    # Each run works in its own copy of the corpus: a file another run has
+    # just written under out/ is neither removed nor hashed, and two runs at
+    # the same time record what one run alone does.
+    corpus = tmp_path / "corpus"
+    assert _tool("write", corpus).returncode == 0
+    names = ["weights.d8.pure.out", "sweep.out_field"]
+    alone = tmp_path / "alone.json"
+    assert _tool("run", corpus, ROOT / "src", alone, *names).returncode == 0
+    (corpus / "out").mkdir()
+    (corpus / "out" / "other.json").write_text("{}")
+    records = [tmp_path / f"run{k}.json" for k in range(2)]
+    runs = [subprocess.Popen([sys.executable, str(TOOL), "run", str(corpus), str(ROOT / "src"), str(r), *names],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE) for r in records]
+    for proc in runs:
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+    expected = json.loads(alone.read_text())
+    assert expected["commands"]["weights.d8.pure.out"]["files"].keys() == {"pure.json"}
+    assert [json.loads(r.read_text()) for r in records] == [expected, expected]
+    assert [p.name for p in (corpus / "out").iterdir()] == ["other.json"]
+
+
 def test_compare_refuses_runs_from_different_environments(tmp_path):
     # Bytes may differ across numpy, BLAS or thread count whatever the code,
     # so such records are not compared at all, even where every hash matches.

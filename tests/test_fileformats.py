@@ -1,11 +1,12 @@
 """Report encoding checked against the two-pass encoder it replaced.
 
-The reference below is the former encoder: every element rounded as it is
-converted (`complex_to_pair`), then the whole report rounded again by
-`round_tree` and written by `json.dumps(indent=2)`. The vectorized encoders
-plus the one-pass `to_json`, which formats each float once, must give the
-same bytes, since 12-digit rounding is idempotent. The one-call pair
-parser is checked the same way, against the per-pair parser it bypasses.
+The reference below is the former encoder: every element of an array
+rounded as it is converted to a list (`complex_to_pair`), then the whole
+report rounded again by `round_tree` and written by `json.dumps(indent=2)`.
+The one-pass `to_json`, which formats each float of an array or a list once,
+must give the same bytes, since 12-digit rounding is idempotent. The
+one-call pair parser is checked the same way, against the per-pair parser
+it bypasses.
 """
 
 import json
@@ -16,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_basis
-from lowdin_kit import cli, fileformats
+from lowdin_kit import fileformats
 from lowdin_kit.cli import AnalysisReport, main
-from lowdin_kit.fileformats import basis_to_dict, matrix_to_pairs, vector_to_pairs
 
 _OLD_REPORT_FIELDS = (
     "command",
@@ -62,10 +62,6 @@ def _vector_to_pairs_old(v):
     return [_complex_to_pair_old(complex(z)) for z in np.asarray(v).reshape(-1)]
 
 
-def _matrix_to_pairs_old(m):
-    return _vector_to_pairs_old(np.asarray(m).reshape(-1))
-
-
 def _basis_to_dict_old(b):
     return {
         "ambient_dim": b.ambient_dim,
@@ -73,10 +69,20 @@ def _basis_to_dict_old(b):
     }
 
 
+def _array_to_list_old(a):
+    """An array field as the former encoder wrote it: _vector_to_pairs_old
+    over its last axis (plain floats, if real), nested like its other axes."""
+    if a.ndim > 1:
+        return [_array_to_list_old(row) for row in a]
+    return _vector_to_pairs_old(a) if a.dtype.kind == "c" else [float(x) for x in a]
+
+
 def _to_json_old(report):
     out = {}
     for name in _OLD_REPORT_FIELDS:
         value = getattr(report, name)
+        if isinstance(value, np.ndarray):
+            value = _array_to_list_old(value)
         if value is not None:
             out[name] = _round_tree_old(value)
     return json.dumps(out, indent=2) + "\n"
@@ -161,36 +167,32 @@ def report_commands(tmp_path):
 class TestEncoders:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_report_matches_old_encoder(self, seed):
+        # The arrays as the CLI hands them over: complex ones flat, as pairs.
         arrays = _arrays(seed)
-        inputs = {"note": 0.1, "flag": True, "dim": 3}
-        new = AnalysisReport(
-            command="check", input=inputs,
-            lowdin_coefficients=vector_to_pairs(arrays["vector"]),
-            transform=matrix_to_pairs(arrays["matrix"]),
-            rho_lowdin=matrix_to_pairs(arrays["real_matrix"]),
-            offdiagonal_artifact=matrix_to_pairs(arrays["tiny_matrix"]),
-            weights=arrays["real_vector"].tolist(),
+        report = AnalysisReport(
+            command="check", input={"note": 0.1, "flag": True, "dim": 3},
+            lowdin_coefficients=arrays["vector"],
+            transform=arrays["matrix"].reshape(-1),
+            rho_lowdin=arrays["real_matrix"].reshape(-1).astype(complex),
+            offdiagonal_artifact=arrays["tiny_matrix"].reshape(-1).astype(complex),
+            weights=arrays["real_vector"],
         )
-        old = AnalysisReport(
-            command="check", input=inputs,
-            lowdin_coefficients=_vector_to_pairs_old(arrays["vector"]),
-            transform=_matrix_to_pairs_old(arrays["matrix"]),
-            rho_lowdin=_matrix_to_pairs_old(arrays["real_matrix"]),
-            offdiagonal_artifact=_matrix_to_pairs_old(arrays["tiny_matrix"]),
-            weights=[float(x) for x in arrays["real_vector"]],
-        )
-        assert new.to_json() == _to_json_old(old)
+        assert report.to_json() == _to_json_old(report)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided"])
     def test_arrays_match_old_encoder(self, layout):
         # Complex and real, 1-D and 2-D arrays holding every edge float, in
-        # each memory layout, through the encoders and the writer.
+        # each memory layout, through the writer, which copies the F-ordered
+        # and the strided ones to C order.
         rng = np.random.default_rng(29)
         edge = EDGE_FLOATS + [-999999999999.5, -1e15, float("inf"), float("-inf"), float("nan")]
         re = rng.permutation(np.concatenate([edge, rng.standard_normal(36 - len(edge))]))
         z = np.empty(36, dtype=complex)
         z.real, z.imag = re, rng.permutation(re)
-        arrays = [z, z.reshape(6, 6), re, re.reshape(6, 6)]
+        # Unrounded thirds, signed zeros and a subnormal imaginary part, each
+        # written as its own pair: [0.333333333333, -2.0], [-0.0, 0.0], [0.0, 5e-324].
+        exact = np.array([[1.0 / 3.0 - 2j, -0.0], [5e-324j, 7.0]])
+        arrays = [z, z.reshape(6, 6), re, re.reshape(6, 6), exact]
         if layout == "F":
             arrays = [np.asfortranarray(a) for a in arrays]
         elif layout == "strided":
@@ -200,51 +202,40 @@ class TestEncoders:
                 big[at] = a
             arrays = [big[at] for big, at in zip(bigger, every_other)]
             assert not any(a.flags.c_contiguous or a.flags.f_contiguous for a in arrays)
-        z, zm, x, xm = arrays
+        z, zm, x, xm, exact = arrays
         new = AnalysisReport(command="arrays", input={"x": x.tolist(), "xm": xm.tolist()},
-                             lowdin_coefficients=vector_to_pairs(z), transform=matrix_to_pairs(zm),
-                             basis=fileformats._pairs(zm.T), weights=x.tolist(), rho_lowdin=xm.tolist())
+                             lowdin_coefficients=z, transform=zm, basis=zm.T, weights=x, rho_lowdin=xm,
+                             offdiagonal_artifact=exact)
         x_old, xm_old = [float(v) for v in x], [[float(v) for v in row] for row in xm]
         old = AnalysisReport(command="arrays", input={"x": x_old, "xm": xm_old},
-                             lowdin_coefficients=_vector_to_pairs_old(z), transform=_matrix_to_pairs_old(zm),
-                             basis=[_vector_to_pairs_old(col) for col in zm.T], weights=x_old, rho_lowdin=xm_old)
-        assert new.to_json() == _to_json_old(old)
-        for text in ("-0.0", "1000000000000.0", "-1000000000000.0", "1000000000000000.0", "1e+16", "5e-324",
-                     "2.22507385851e-308", "1.79769313486e+308", "-Infinity", "NaN"):
-            assert f" {text}" in new.to_json()
-
-    def test_encoders_return_plain_unrounded_floats(self):
-        z = np.array([[1.0 / 3.0 - 2j, -0.0], [5e-324j, 7.0]])
-        pairs = matrix_to_pairs(z)
-        assert pairs == [[1.0 / 3.0, -2.0], [-0.0, 0.0], [0.0, 5e-324], [7.0, 0.0]]
-        assert vector_to_pairs(z) == pairs
-        ints = vector_to_pairs(np.array([2, 3]))
-        assert ints == [[2.0, 0.0], [3.0, 0.0]]
-        assert all(type(x) is float for p in pairs + ints for x in p)
+                             lowdin_coefficients=_vector_to_pairs_old(z),
+                             transform=[_vector_to_pairs_old(row) for row in zm],
+                             basis=[_vector_to_pairs_old(col) for col in zm.T], weights=x_old, rho_lowdin=xm_old,
+                             offdiagonal_artifact=[_vector_to_pairs_old(row) for row in exact])
+        text = new.to_json()
+        assert text == _to_json_old(old)
+        for number in ("-0.0", "1000000000000.0", "-1000000000000.0", "1000000000000000.0", "1e+16", "5e-324",
+                       "2.22507385851e-308", "1.79769313486e+308", "-Infinity", "NaN"):
+            assert f" {number}" in text
+        assert json.loads(text)["offdiagonal_artifact"] == [[[0.333333333333, -2.0], [-0.0, 0.0]],
+                                                            [[0.0, 5e-324], [7.0, 0.0]]]
 
     def test_basis_matches_old_encoder(self):
+        # The basis as the CLI hands it over (its columns as rows), and the
+        # echoed input as the unrounded lists a JSON file reads back as.
         b = random_basis(np.random.default_rng(5), 6, ambient=9)
-        assert basis_to_dict(b) == {
-            "ambient_dim": 9,
-            "vectors": [[[float(z.real), float(z.imag)] for z in col] for col in b.vectors.T],
-        }
-        new = AnalysisReport(command="basis", input=basis_to_dict(b), basis=basis_to_dict(b)["vectors"])
+        read = {"ambient_dim": 9, "vectors": [[[float(z.real), float(z.imag)] for z in col] for col in b.vectors.T]}
+        new = AnalysisReport(command="basis", input=read, basis=b.vectors.T)
         old = _basis_to_dict_old(b)
         assert new.to_json() == _to_json_old(AnalysisReport(command="basis", input=old, basis=old["vectors"]))
-
-    def test_round12_is_12g(self):
-        for x in SPECIAL:
-            assert fileformats.round12(x) == float(format(x, ".12g"))
-            assert fileformats.round12(fileformats.round12(x)) == fileformats.round12(x)
 
 
 class TestReportsThroughMain:
     def test_byte_identical_to_old_encoder(self, capsys, monkeypatch, report_commands):
+        # The reports hold the engines' arrays; the old encoder writes each
+        # through _array_to_list_old.
         new = _cli_outputs(capsys, report_commands)
         with monkeypatch.context() as m:
-            m.setattr(cli, "vector_to_pairs", _vector_to_pairs_old)
-            m.setattr(cli, "matrix_to_pairs", _matrix_to_pairs_old)
-            m.setattr(cli, "basis_to_dict", _basis_to_dict_old)
             m.setattr(AnalysisReport, "to_json", _to_json_old)
             old = _cli_outputs(capsys, report_commands)
         assert new == old
@@ -330,6 +321,36 @@ json_trees = st.recursive(
 def test_json_trees_match_old_encoder(tree, fields):
     report = AnalysisReport(command="tree", input={"tree": tree}, basis=fields, weights=[tree])
     assert report.to_json() == _to_json_old(report)
+
+
+@st.composite
+def json_arrays(draw):
+    """A complex or float array of 1 to 3 axes of json_floats, C-ordered,
+    F-ordered or strided (every other entry of a larger array)."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    n = int(np.prod(shape))
+    a = np.array(draw(st.lists(json_floats, min_size=n, max_size=n))).reshape(shape)
+    if draw(st.booleans()):
+        z = np.empty(shape, dtype=complex)
+        z.real, z.imag = a, np.array(draw(st.lists(json_floats, min_size=n, max_size=n))).reshape(shape)
+        a = z
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        big = np.zeros([2 * k for k in shape], a.dtype)
+        big[(slice(None, None, 2),) * a.ndim] = a
+        return big[(slice(None, None, 2),) * a.ndim]
+    return a
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(a=json_arrays())
+def test_arrays_match_their_list_encoding(a):
+    # The list encoding the CLI wrote before its reports held arrays.
+    listed = np.stack((a.real, a.imag), -1).tolist() if a.dtype.kind == "c" else a.tolist()
+    assert (AnalysisReport(command="array", input={}, transform=a).to_json()
+            == AnalysisReport(command="array", input={}, transform=listed).to_json())
 
 
 def _pairs_to_vector_reference(items, what):

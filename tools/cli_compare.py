@@ -19,11 +19,12 @@ subnormals, inf, nan); and a basis with exact zeros under `--order`.
 The corpus depends only on numpy and the seed, not on the code under test.
 
 `run` runs each command (or only the NAMEs given) as `python -m lowdin_kit`
-with PYTHONPATH=SRC and one BLAS thread, in DIR, so that every path in a
-message is relative and the same for any tree. It records the exit code and
-the sha256 of stdout, stderr and every file the command wrote under DIR/out,
-and the environment the bytes depend on: numpy's version, the BLAS library
-numpy reports and the BLAS thread count.
+with PYTHONPATH=SRC and one BLAS thread, in a private copy of DIR, so that
+every path in a message is relative and the same for any tree, and runs on
+one DIR at the same time leave each other's files alone. It records the exit
+code and the sha256 of stdout, stderr and every file the command wrote under
+out/, and the environment the bytes depend on: numpy's version, the BLAS
+library numpy reports and the BLAS thread count.
 
 `compare` refuses two runs whose environments differ, as their bytes may
 differ whatever the code. Otherwise it prints each command whose record
@@ -47,6 +48,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -364,20 +366,21 @@ def run(directory: Path, src: Path, names: list[str]) -> dict:
         commands = [c for c in commands if c["name"] in names]
     env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS=BLAS_THREADS,
                OMP_NUM_THREADS=BLAS_THREADS, MKL_NUM_THREADS=BLAS_THREADS)
-    out_dir = directory / "out"
     records = {}
-    for c in commands:
-        shutil.rmtree(out_dir, ignore_errors=True)
-        out_dir.mkdir()
-        proc = subprocess.run([sys.executable, "-m", "lowdin_kit", *c["argv"]], cwd=directory,
-                              env=env, capture_output=True, check=False)
-        records[c["name"]] = {
-            "exit": proc.returncode,
-            "stdout": _sha256(proc.stdout),
-            "stderr": _sha256(proc.stderr),
-            "files": {p.name: _sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())},
-        }
-    shutil.rmtree(out_dir, ignore_errors=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = shutil.copytree(directory, Path(tmp) / "corpus")
+        out_dir = work / "out"
+        for c in commands:
+            shutil.rmtree(out_dir, ignore_errors=True)
+            out_dir.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "lowdin_kit", *c["argv"]], cwd=work,
+                                  env=env, capture_output=True, check=False)
+            records[c["name"]] = {
+                "exit": proc.returncode,
+                "stdout": _sha256(proc.stdout),
+                "stderr": _sha256(proc.stderr),
+                "files": {p.name: _sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())},
+            }
     return {"environment": _environment(), "commands": records}
 
 
