@@ -75,7 +75,7 @@ def _number_list(items: list | tuple | np.ndarray, indent: str) -> str | None:
     %.12g writes json.dumps of x rounded to 12 significant digits unless that
     is integral below 1e16, subnormal or not finite: one numpy pass flags those
     x (and every int), %r writes the integral ones below 1e12, _number_text the rest."""
-    if isinstance(items, np.ndarray):
+    if isinstance(items, np.ndarray) and items.size:  # an empty one takes the list's way, to None
         pairs = items.dtype.kind == "c"
         a = np.ascontiguousarray(items, complex if pairs else float)
         shape = [*a.shape, 2] if pairs else list(a.shape)

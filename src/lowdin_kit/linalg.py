@@ -4,8 +4,7 @@ Thin layer over LAPACK (via numpy): eigendecomposition, the +-1/2 matrix
 powers, the eigenvalue-floor check that words rejections, and the one gate
 every Hermitian input passes, Gram and density matrices alike, once, where it
 enters. The Gram's eigendecomposition and rho's PSD check diagonalize the
-gate's own output as it is, through hermitian_eig(..., _gated=True), bar a
-matrix whose Frobenius norm overflows. All pure.
+gate's own output as it is, through hermitian_eig(..., _gated=True). All pure.
 """
 
 from __future__ import annotations
@@ -182,13 +181,9 @@ def hermitian_eig(m, *, _gated: bool = False) -> HermitianEigenDecomposition:
     matrix is unitary.
 
     The package's own callers pass _gated=True with a matrix the gate has
-    already returned. Where its Frobenius norm is finite a second pass would
-    return it byte for byte, so it is diagonalized as it is. Where the norm
-    overflows, the gate halved before adding and a second pass may round its
-    subnormal entries, so it passes the gate again.
+    already returned, which is diagonalized as it is.
     """
-    skip = _gated and math.isfinite(float(np.vdot(m, m).real))
-    sym = m if skip else _hermitian_part(m)
+    sym = m if _gated else _hermitian_part(m)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidParameters, UnsupportedDimension
 from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
 from .linalg import _as_array, _derived, _half_power, _Record
-from .states import PureState
+from .states import PureState, _check_gram
 
 _ORTHONORMALITY_TOL = 1e-8
 # Block size of gram_schmidt's triangular inverse.
@@ -206,8 +206,10 @@ def distortion(a: BasisSet, b: BasisSet) -> float:
 
 def maximally_coherent_image(d2_gram: GramMatrix, sign: int) -> PureState:
     """Image of the 2-d maximally coherent state (|1> +- |2>)/sqrt(2) in
-    the non-orthogonal basis: coefficients (1, +-1)/sqrt(2 (1 +- s)).
+    the non-orthogonal basis: coefficients (1, +-1)/sqrt(2 (1 +- s)), re-checked
+    unless the diagonal is 1: then 1 +- s rounds at most once, so a+ O a = 1 to a few ulps.
     """
+    _check_gram(d2_gram)
     if d2_gram.dim != 2:
         raise UnsupportedDimension(f"defined for dimension 2, got {d2_gram.dim}")
     if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
@@ -217,4 +219,6 @@ def maximally_coherent_image(d2_gram: GramMatrix, sign: int) -> PureState:
         raise InvalidParameters("requires a real overlap between the two basis states")
     lam = 1.0 + sign * s.real
     coeffs = np.array([1.0, float(sign)]) / np.sqrt(2.0 * lam)
-    return PureState(d2_gram, coeffs)
+    if (d2_gram.matrix.diagonal() != 1.0).any():
+        return PureState(d2_gram, coeffs)
+    return _derived(PureState, gram=d2_gram, coeffs=coeffs.astype(complex))

@@ -80,7 +80,7 @@ def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
 def _unit_trace_psd(m, what: str) -> np.ndarray:
     """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0.
     The PSD check diagonalizes the gate's output as it is, with
-    hermitian_eig(_gated=True), bar one whose Frobenius norm overflows."""
+    hermitian_eig(_gated=True)."""
     m = _hermitian_part(m, InvalidParameters, what)
     with np.errstate(over="ignore"):  # an overflowing trace is refused as inf
         tr = float(m.trace().real)
@@ -258,11 +258,12 @@ def golden_state_3d(s: float) -> PureState:
 
     Built over the overlap pattern <c1|c2> = s, <c1|c3> = <c2|c3> = -s
     with s in (-1/2, 0], a real number (not a bool or text); its Lowdin
-    weights are uniform.
+    weights are uniform. Derived, not re-checked: the Gram's diagonal is exactly 1
+    and 1 + 2s rounds at most once, so a+ O a = 1 to a few ulps.
     """
     s = _as_real(s, "s")
     if not (-0.5 < s <= 0.0):
         raise InvalidParameters(f"s = {s} outside (-1/2, 0]")
     g = gram_from_overlaps(OverlapSpec(3, [(1, 2, s), (1, 3, -s), (2, 3, -s)]))
     coeffs = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0 * (1.0 + 2.0 * s))
-    return PureState(g, coeffs)
+    return _derived(PureState, gram=g, coeffs=coeffs.astype(complex))

@@ -326,8 +326,9 @@ def test_json_trees_match_old_encoder(tree, fields):
 @st.composite
 def json_arrays(draw):
     """A complex or float array of 1 to 3 axes of json_floats, C-ordered,
-    F-ordered or strided (every other entry of a larger array)."""
-    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    F-ordered or strided (every other entry of a larger array). An axis may
+    be empty, as a list may hold empty rows."""
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
     n = int(np.prod(shape))
     a = np.array(draw(st.lists(json_floats, min_size=n, max_size=n))).reshape(shape)
     if draw(st.booleans()):

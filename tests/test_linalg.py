@@ -281,16 +281,16 @@ def gate_input(kind: str, d: int, rng, layout: str = "C") -> np.ndarray:
     return m
 
 
-def refused(build, m):
-    with pytest.raises(InvalidParameters, match="has eigenvalue"):
+def refused(build, m, match="has eigenvalue"):
+    with pytest.raises(InvalidParameters, match=match):
         build(m)
 
 
 class TestGateOnce:
     """The gate's output is its own fixed point wherever its Frobenius norm is
-    finite, so the Gram's eigendecomposition and rho's PSD check diagonalize it
-    as it is through hermitian_eig(..., _gated=True); only a matrix whose norm
-    overflows passes the gate a second time."""
+    finite, and the Gram's eigendecomposition and rho's PSD check diagonalize it
+    as it is through hermitian_eig(..., _gated=True): every matrix passes the
+    gate once."""
 
     @seed(CORPUS_SEED)
     @settings(max_examples=200, deadline=None, database=None)
@@ -334,14 +334,20 @@ class TestGateOnce:
         (lambda: LowdinTransformedState([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]]), 1),
         (lambda: lowdin_symmetric(BasisSet(np.array([[1.0, 0.6], [0.0, 0.8]]))), 1),
         (lambda: hermitian_eig(two_level_overlap(0.5)), 1),
-        # A zero real part is gated once too; only an overflowing ||m||_F is gated again.
+        # A zero real part is gated once too, and so is an overflowing ||m||_F;
+        # its pinned refusal shows the verdict needs no second pass.
         (lambda: GramMatrix(np.eye(2)).eigen, 1),
         (lambda: DensityOperator(GramMatrix(two_level_overlap(0.5)), [[0.6, 0.2j], [-0.2j, 0.4]]), 2),
         (lambda: gram_from_overlaps(OverlapSpec(3, [(1, 2, 0.4)])).eigen, 1),
-        (lambda: refused(LowdinTransformedState, [[1e200, 1, 1], [1, -1e200, 1], [1, 1, 1]]), 2),
+        (lambda: refused(LowdinTransformedState, [[1e200, 1, 1], [1, -1e200, 1], [1, 1, 1]],
+                         r"^transformed state has eigenvalue -1\.000e\+200 below -1e-10$"), 1),
+        (lambda: refused(lambda m: DensityOperator(GramMatrix(np.eye(3)), m),
+                         [[1e200, 1, 1], [1, -1e200, 1], [1, 1, 1]],
+                         r"^coefficient matrix has eigenvalue -1\.000e\+200 below -1e-10$"), 2),
     ], ids=["GramMatrix.eigen", "DensityOperator", "LowdinTransformedState", "lowdin_symmetric",
             "hermitian_eig", "GramMatrix.eigen, zero real part", "DensityOperator, zero real part",
-            "gram_from_overlaps.eigen, unspecified pair", "LowdinTransformedState, overflowing norm"])
+            "gram_from_overlaps.eigen, unspecified pair", "LowdinTransformedState, overflowing norm",
+            "DensityOperator, overflowing norm"])
     def test_gate_passes_per_matrix(self, monkeypatch, build, gates):
         calls = []
 

@@ -102,12 +102,25 @@ class TestLowdinCoeffs:
             b = lowdin_coeffs(normalize_pure(g, raw))
             assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("s", [-0.5, -0.2, 0.0, 0.3, 0.6])
-    def test_coherent_image_maps_back(self, s):
-        state = maximally_coherent_image(overlap2(s), +1)
+    @pytest.mark.parametrize("s, sign", [
+        *[pytest.param(s, +1, id=str(s)) for s in (-0.5, -0.2, 0.0, 0.3, 0.6, -1 + 1e-9, -1 + 1e-11)],
+        pytest.param(1 - 1e-9, -1, id="0.999999999, sign -1"),
+    ])
+    def test_coherent_image_maps_back(self, s, sign):
+        # Near the floor a recomputed a+ O a cancels to about u kappa(O), up to 4e-8
+        # here, so the closed form must be returned without being held to it.
+        state = maximally_coherent_image(overlap2(s), sign)
         assert np.allclose(
-            lowdin_coeffs(state).real, np.array([1.0, 1.0]) / np.sqrt(2.0), atol=1e-9
+            lowdin_coeffs(state).real, np.array([1.0, sign]) / np.sqrt(2.0), atol=1e-9
         )
+
+    @pytest.mark.parametrize("s, sign", [(-(1 - 1e-10), +1), (0.6, -1)], ids=["-0.9999999999", "0.6, sign -1"])
+    def test_coherent_image_off_a_unit_diagonal_is_checked(self, s, sign):
+        # The closed form is normalized for O11 = O22 = 1 only: a diagonal 5e-10 off,
+        # which GramMatrix accepts, leaves a+ O a at 6 and at 1 + 1.25e-9 here.
+        d = 1 + 5e-10
+        with pytest.raises(ValueError, match=r"state norm a\+Oa = .* is not 1 within 1e-09"):
+            maximally_coherent_image(GramMatrix(np.array([[d, s], [s, d]])), sign)
 
 
 class TestWeightsPure:
@@ -120,8 +133,9 @@ class TestWeightsPure:
         w = weights_pure(beta_state(0.1, 0.6)).weights
         assert np.allclose(w, [0.715, 0.285], atol=1e-3)
 
-    def test_golden_state_uniform(self):
-        w = weights_pure(golden_state_3d(-0.3)).weights
+    @pytest.mark.parametrize("s", [-0.3, -0.5 + 5e-9, -0.5 + 5e-12])
+    def test_golden_state_uniform(self, s):
+        w = weights_pure(golden_state_3d(s)).weights
         assert np.allclose(w, 1.0 / 3.0, atol=1e-9)
 
 
@@ -462,7 +476,8 @@ class TestGramArgument:
         lambda g: PureState(g, [1.0, 0.0]),
         lambda g: normalize_pure(g, [1.0, 0.0]),
         lambda g: DensityOperator(g, np.eye(2) / 2),
-    ], ids=["PureState", "normalize_pure", "DensityOperator"])
+        lambda g: maximally_coherent_image(g, 1),
+    ], ids=["PureState", "normalize_pure", "DensityOperator", "maximally_coherent_image"])
     @pytest.mark.parametrize("gram", [np.eye(2), None, OverlapSpec(2)], ids=["ndarray", "None", "OverlapSpec"])
     def test_non_gram_is_a_value_error_naming_gram(self, build, gram):
         # These read gram.dim first and raised AttributeError.

@@ -17,8 +17,9 @@ stacked solve of the diagonal blocks and two GEMMs per block row. Symmetric
 Lowdin adds eigh(O) and the GEMM of O^{-1/2}; canonical adds eigh(O).
 
 SRC (default: this repository's src/) is the source tree imported, so a
-parent commit's tree can be measured the same way. Set one BLAS thread
-(OPENBLAS_NUM_THREADS=1) for numbers that compare between runs.
+parent commit's tree can be measured the same way; the bare inverse uses that
+tree's block size. Set one BLAS thread (OPENBLAS_NUM_THREADS=1) for numbers
+that compare between runs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 ENGINES = ("gram_schmidt", "lowdin_symmetric", "lowdin_canonical")
-BLOCK = 32  # block size of gram_schmidt's triangular inverse
 
 
 def _median_s(calls: list, reps: int) -> list[float]:
@@ -56,11 +56,11 @@ def _basis(rng, d: int) -> np.ndarray:
     return c / np.linalg.norm(c, axis=0)
 
 
-def _inverse_calls(r: np.ndarray) -> list:
+def _inverse_calls(r: np.ndarray, block: int) -> list:
     """The stacked block solve and the block-row GEMMs of R^{-1}, on R padded
     with the identity to a multiple of the block size."""
     d = r.shape[0]
-    b = min(BLOCK, d)
+    b = min(block, d)
     m = -(-d // b) * b
     padded = np.eye(m, dtype=r.dtype)
     padded[:d, :d] = r
@@ -74,14 +74,15 @@ def _inverse_calls(r: np.ndarray) -> list:
     return calls
 
 
-def bare_calls(engine: str, c: np.ndarray) -> list:
-    """The bare numpy calls of one op of engine on C, as zero-argument callables."""
+def bare_calls(engine: str, c: np.ndarray, block: int) -> list:
+    """The bare numpy calls of one op of engine on C, as zero-argument callables;
+    block is gram_schmidt's block size in the tree measured."""
     ch = c.conj().T
     o = ch @ c
     calls = [lambda: ch @ c, lambda: np.linalg.cholesky(o)]
     if engine == "gram_schmidt":
         r = np.linalg.qr(c, mode="r")
-        calls += [lambda: np.linalg.qr(c, mode="r"), *_inverse_calls(r)]
+        calls += [lambda: np.linalg.qr(c, mode="r"), *_inverse_calls(r, block)]
         t = np.linalg.inv(r)
     else:
         lam, u = np.linalg.eigh(o)
@@ -105,7 +106,8 @@ def measure(lk, dims, reps: int) -> list[dict]:
         c = _basis(rng, d)
         for engine in ENGINES:
             op = getattr(lk, engine)
-            op_s, *bare_s = _median_s([lambda: op(lk.BasisSet(c)), *bare_calls(engine, c)], reps)
+            bare = bare_calls(engine, c, lk.ortho._INVERSE_BLOCK)
+            op_s, *bare_s = _median_s([lambda: op(lk.BasisSet(c)), *bare], reps)
             floor_s = sum(bare_s)
             rows.append({"engine": engine, "dim": d, "op_ms": 1e3 * op_s, "floor_ms": 1e3 * floor_s,
                          "ratio": op_s / floor_s})
