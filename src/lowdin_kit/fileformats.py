@@ -200,11 +200,6 @@ def parse_basis(obj) -> BasisSet:
     vectors = obj.get("vectors")
     if not isinstance(vectors, list) or not vectors:
         raise ValueError("basis: field 'vectors' must be a non-empty list")
-    # Every column in one call; after any ValueError the column-by-column path words it.
-    if set(map(type, vectors)) == {list} and set(map(len, vectors)) == {ambient}:
-        with suppress(ValueError):
-            flat = pairs_to_vector(list(chain.from_iterable(vectors)), "basis.vectors")
-            return BasisSet(flat.reshape(len(vectors), ambient).T)
     cols = []
     for k, vec in enumerate(vectors):
         col = pairs_to_vector(vec, f"basis.vectors[{k}]")

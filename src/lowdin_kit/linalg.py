@@ -146,16 +146,14 @@ def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
     return part
 
 
-def _check_floor(eig: HermitianEigenDecomposition) -> float:
-    """Smallest eigenvalue; NotPositiveDefinite if at or below LAMBDA_FLOOR."""
+def _check_floor(eig: HermitianEigenDecomposition) -> None:
+    """NotPositiveDefinite if the smallest eigenvalue is at or below LAMBDA_FLOOR."""
     lam = eig.eigenvalues
-    lam_min = float(lam[0])
-    if lam_min <= LAMBDA_FLOOR:
+    if lam[0] <= LAMBDA_FLOOR:
         raise NotPositiveDefinite(
-            f"smallest eigenvalue {lam_min:.3e} is at or below {LAMBDA_FLOOR:.0e} "
+            f"smallest eigenvalue {lam[0]:.3e} is at or below {LAMBDA_FLOOR:.0e} "
             f"(largest eigenvalue {lam[-1]:.3e}, dimension {lam.size})"
         )
-    return lam_min
 
 
 def _ct(m: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ Basis vectors are matrix columns throughout, so every transform acts on
 the right: E = C T. Three engines are provided (sequential Gram-Schmidt
 and the symmetric / canonical Lowdin transforms) together with the
 inverse map that manufactures a non-orthogonal basis realizing a given
-overlap matrix.
+overlap matrix. States over such bases, the closed-form ones too, are in states.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameters, UnsupportedDimension
+from .errors import DimensionMismatch, InvalidParameters
 from .gram import UNIT_NORM_TOL, GramMatrix, gram_from_vectors
 from .linalg import _as_array, _derived, _half_power, _Record
-from .states import PureState, _check_gram
 
 _ORTHONORMALITY_TOL = 1e-8
 # Block size of gram_schmidt's triangular inverse.
@@ -202,23 +201,3 @@ def distortion(a: BasisSet, b: BasisSet) -> float:
             f"basis shapes {a.vectors.shape} and {b.vectors.shape} differ"
         )
     return float(np.linalg.norm(a.vectors - b.vectors))
-
-
-def maximally_coherent_image(d2_gram: GramMatrix, sign: int) -> PureState:
-    """Image of the 2-d maximally coherent state (|1> +- |2>)/sqrt(2) in
-    the non-orthogonal basis: coefficients (1, +-1)/sqrt(2 (1 +- s)), re-checked
-    unless the diagonal is 1: then 1 +- s rounds at most once, so a+ O a = 1 to a few ulps.
-    """
-    _check_gram(d2_gram)
-    if d2_gram.dim != 2:
-        raise UnsupportedDimension(f"defined for dimension 2, got {d2_gram.dim}")
-    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    s = d2_gram.matrix[0, 1]
-    if abs(s.imag) > 1e-12:
-        raise InvalidParameters("requires a real overlap between the two basis states")
-    lam = 1.0 + sign * s.real
-    coeffs = np.array([1.0, float(sign)]) / np.sqrt(2.0 * lam)
-    if (d2_gram.matrix.diagonal() != 1.0).any():
-        return PureState(d2_gram, coeffs)
-    return _derived(PureState, gram=d2_gram, coeffs=coeffs.astype(complex))

@@ -1,10 +1,12 @@
-"""Pure states and density operators over non-orthogonal bases.
+"""Pure states, density operators and closed-form states over non-orthogonal bases.
 
 Coefficients live in the non-orthogonal basis; the symmetric
 orthogonalizer O^{1/2} maps them onto the orthonormal (computational)
 frame, where the squared magnitudes form the Lowdin weight distribution.
 Its private kernels work over leading stack axes and refuse nothing: the ops
 raise on what they return for one state, the CLI's sweep masks a stack on it.
+Near the floor a+ O a cancels far below its terms, so where the sum's rounding
+could decide a state's norm it is redone exactly, in integers.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateTrace, InvalidParameters, ZeroState
-from .gram import GramMatrix, OverlapSpec, gram_from_overlaps
-from .linalg import _as_array, _as_real, _derived, _hermitian_part, _Record, hermitian_eig
+from .errors import DegenerateTrace, InvalidParameters, UnsupportedDimension, ZeroState
+from .gram import _EPS, GramMatrix, OverlapSpec, gram_from_overlaps
+from .linalg import _as_array, _as_real, _ct, _derived, _hermitian_part, _Record, hermitian_eig
 
 _PSD_TOL, _TRACE_TOL, _WEIGHT_SUM_TOL, _NEGATIVE_WEIGHT_TOL = 1e-10, 1e-9, 1e-9, 1e-12
 # At or below these a+ O a or Tr(O^{1/2} rho O^{1/2}) is too small to normalize by.
@@ -35,6 +37,49 @@ def _norm2(o: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (a.conj()[..., None, :] @ o @ a[..., None])[..., 0, 0].real
 
 
+def _norm2_error(d: int, length2):
+    """Bound on _norm2's rounding error for a state of squared length |a|^2 over a d x d GramMatrix:
+    gamma_{2d+4} |a|^T |O| |a| for its two complex dot products of length d (Higham, Accuracy and
+    Stability, 2nd ed., 3.1 and 3.6), with |a|^T |O| |a| <= (d + 1) |a|^2 as |O_ij| <= 1 + 1e-9.
+    The extra 2u pays for forming the bound. Infinite where |a|^2 overflows."""
+    return (d + 3) * _EPS * (d + 1) * length2
+
+
+def _integers(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python integers n and k with m = n 2**-k exactly: a double is f 2**e with 53-bit f."""
+    k = max(53 - int(np.frexp(m)[1].min()), 0)  # at 0 every entry is an integer already
+
+    def integer(v: float) -> int:
+        n, den = v.as_integer_ratio()  # den = 2**j, j <= k
+        return n << (k + 1 - den.bit_length())
+
+    return np.frompyfunc(integer, 1, 1)(m), k
+
+
+def _exact_norm2(o: np.ndarray, a: np.ndarray) -> float:
+    """a+ O a rounded once: p^T X p + q^T X q + q^T Y p - p^T Y q, for a = p + iq and
+    O = X + iY, summed in integers and rounded by one true division; inf if it overflows."""
+    (p, q), ka = _integers(np.stack([a.real, a.imag]))
+    (x, y), ko = _integers(np.stack([o.real, o.imag]))
+    try:
+        return (p.dot(x).dot(p) + q.dot(x).dot(q) + q.dot(y).dot(p) - p.dot(y).dot(q)) / 2 ** (2 * ka + ko)
+    except OverflowError:
+        return math.inf
+
+
+def _scaling_norm2(o: np.ndarray, a: np.ndarray, norm2):
+    """The a+ O a that normalizes a, for one state or a stack of them: norm2 from _norm2, summed
+    exactly wherever its rounding may exceed 5e-10 of it, half PureState's 1e-9, so the scaled a
+    passes PureState (a stack's finite entries are replaced in place)."""
+    if a.ndim == 1:
+        inexact = _norm2_error(a.size, np.vdot(a, a).real) > _TRACE_TOL / 2 * norm2
+        return _exact_norm2(o, a) if inexact else norm2
+    inexact = _norm2_error(a.shape[-1], (np.abs(a) ** 2).sum(-1)) > _TRACE_TOL / 2 * norm2
+    for i in np.flatnonzero(inexact & np.isfinite(norm2)):
+        norm2[i] = _exact_norm2(o[i], a[i])
+    return norm2
+
+
 def _pure_weights(half: np.ndarray, a: np.ndarray) -> np.ndarray:
     """|O^{1/2} a|^2 over its sum, over leading stack axes (.T puts them last, where the sums
     broadcast); O^{1/2} a is formed as in _norm2."""
@@ -52,7 +97,7 @@ def _lowdin_transform(m: np.ndarray, tr: np.ndarray) -> np.ndarray:
     """Unit-trace Hermitian part of congruences m of traces tr, in m's buffer; a stack's tr takes
     two trailing unit axes to broadcast against m. PSD as rho is, so not checked."""
     m /= tr
-    m += m.conj().swapaxes(-1, -2)
+    m += _ct(m)
     m *= 0.5
     return m
 
@@ -93,15 +138,24 @@ def _unit_trace_psd(m, what: str) -> np.ndarray:
 
 
 class PureState(_Record):
-    """Normalized pure state: coefficients a over a basis with overlap O,
-    satisfying a+ O a = 1."""
+    """Normalized pure state: coefficients a over a basis with overlap O, with
+    a+ O a = 1 within max(1e-9, 2r + r^2 + 4u), r = u |a| sqrt(d + 1), u the unit
+    round-off. A sum whose rounding error may decide is redone exactly. Rounding the
+    entries of an exactly normalized a moves a+ O a by at most 2r + r^2, as
+    |a|^T |O a| <= |a| |O a| <= |a| sqrt(lambda_max) and lambda_max <= d + 1,
+    and 4u covers scaling a by a correctly rounded norm."""
 
     _fields = ("gram", "coeffs")
 
     def __init__(self, gram: GramMatrix, coeffs: np.ndarray):
         a, norm2 = _coefficient_vector(coeffs, gram)
-        if abs(norm2 - 1.0) > _TRACE_TOL:
-            raise ValueError(f"state norm a+Oa = {norm2!r} is not 1 within {_TRACE_TOL}")
+        length2 = np.vdot(a, a).real
+        if abs(norm2 - 1.0) > _TRACE_TOL - _norm2_error(a.size, length2):
+            norm2 = _exact_norm2(gram.matrix, a)
+            r = _EPS / 2 * math.sqrt((a.size + 1) * length2)
+            tol = max(_TRACE_TOL, 2 * r + r * r + 2 * _EPS)
+            if not abs(norm2 - 1.0) <= tol < math.inf:  # an overflowing |a| bounds nothing
+                raise ValueError(f"state norm a+Oa = {norm2!r} is not 1 within {tol:.3g}")
         self._store({"gram": gram, "coeffs": a})
 
     @property
@@ -168,8 +222,9 @@ class WeightDistribution(_Record):
 
 
 def normalize_pure(gram: GramMatrix, raw) -> PureState:
-    """Scale a raw coefficient vector so that a+ O a = 1."""
+    """Scale a raw coefficient vector so that a+ O a = 1; near the floor the sum is exact."""
     a, norm2 = _coefficient_vector(raw, gram)
+    norm2 = _scaling_norm2(gram.matrix, a, norm2)
     if norm2 <= _MIN_NORM2:
         raise ZeroState("raw coefficient vector has zero norm under the overlap metric")
     return _derived(PureState, gram=gram, coeffs=a / math.sqrt(norm2))
@@ -258,12 +313,26 @@ def golden_state_3d(s: float) -> PureState:
 
     Built over the overlap pattern <c1|c2> = s, <c1|c3> = <c2|c3> = -s
     with s in (-1/2, 0], a real number (not a bool or text); its Lowdin
-    weights are uniform. Derived, not re-checked: the Gram's diagonal is exactly 1
-    and 1 + 2s rounds at most once, so a+ O a = 1 to a few ulps.
-    """
+    weights are uniform."""
     s = _as_real(s, "s")
     if not (-0.5 < s <= 0.0):
         raise InvalidParameters(f"s = {s} outside (-1/2, 0]")
     g = gram_from_overlaps(OverlapSpec(3, [(1, 2, s), (1, 3, -s), (2, 3, -s)]))
     coeffs = np.array([1.0, 1.0, -1.0]) / np.sqrt(3.0 * (1.0 + 2.0 * s))
-    return _derived(PureState, gram=g, coeffs=coeffs.astype(complex))
+    return PureState(g, coeffs)
+
+
+def maximally_coherent_image(d2_gram: GramMatrix, sign: int) -> PureState:
+    """Image of the 2-d maximally coherent state (|1> +- |2>)/sqrt(2) in
+    the non-orthogonal basis: coefficients (1, +-1)/sqrt(2 (1 +- s))."""
+    _check_gram(d2_gram)
+    if d2_gram.dim != 2:
+        raise UnsupportedDimension(f"defined for dimension 2, got {d2_gram.dim}")
+    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    s = d2_gram.matrix[0, 1]
+    if abs(s.imag) > 1e-12:
+        raise InvalidParameters("requires a real overlap between the two basis states")
+    lam = 1.0 + sign * s.real
+    coeffs = np.array([1.0, float(sign)]) / np.sqrt(2.0 * lam)
+    return PureState(d2_gram, coeffs)

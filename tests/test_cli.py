@@ -15,6 +15,7 @@ from conftest import corpus_rng, edge_psd_densities, shared_component_columns
 from lowdin_kit import (DensityOperator, LowdinKitError, OverlapSpec, closed_form_2d_weights, gram_from_overlaps,
                         measure_report, normalize_pure, weights_density, weights_pure)
 from lowdin_kit import cli, measures, states
+from lowdin_kit.checks import reference_rows
 from lowdin_kit.cli import AnalysisReport, main, parse_sweep_spec, run_sweep
 from lowdin_kit.fileformats import parse_state
 
@@ -1036,7 +1037,7 @@ class TestPaperCheck:
         assert code == 0
         lines = out.splitlines()
         pass_rows = [ln for ln in lines if ln.endswith("PASS")]
-        assert len(pass_rows) >= 15
+        assert len(pass_rows) == len(reference_rows())
         assert not any(ln.endswith("FAIL") for ln in lines)
 
     def test_checks_load_only_where_they_run(self, tmp_path, beta_state_file, plane_basis_file):

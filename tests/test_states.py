@@ -1,5 +1,6 @@
 import re
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import corpus_rng, edge_psd_densities, random_gram_from
 from lowdin_kit import (
+    BasisSet,
     DegenerateTrace,
     DensityOperator,
     GramMatrix,
     InvalidParameters,
+    LowdinKitError,
     OverlapSpec,
     PureState,
     ZeroState,
@@ -82,6 +85,98 @@ class TestNormalizePure:
             PureState(overlap2(0.5), np.array([1.0, 0.0]) * 2.0)
 
 
+def near_dependent_grams(rng, d, count):
+    """Grams of accepted unit columns g + eps G in ambient dimension 2d, eps
+    log-uniform in [10^-6.5, 10^-1]: lambda_min(O) reaches down to the floor."""
+    grams = []
+    while len(grams) < count:
+        eps = 10 ** rng.uniform(-6.5, -1)
+        g = rng.standard_normal((2 * d, 1)) + 1j * rng.standard_normal((2 * d, 1))
+        c = g + eps * (rng.standard_normal((2 * d, d)) + 1j * rng.standard_normal((2 * d, d)))
+        try:
+            grams.append(BasisSet(c / np.linalg.norm(c, axis=0)).gram)
+        except LowdinKitError:  # dependent beyond the floor
+            continue
+    return grams
+
+
+def exact_norm2(o, a):
+    """a+ O a in rational arithmetic, rounded once."""
+    f = lambda v: Fraction(float(v))  # noqa: E731
+    return float(sum(
+        (f(a[i].real) * f(a[j].real) + f(a[i].imag) * f(a[j].imag)) * f(o[i, j].real)
+        + (f(a[i].imag) * f(a[j].real) - f(a[i].real) * f(a[j].imag)) * f(o[i, j].imag)
+        for i in range(a.size) for j in range(a.size)
+    ))
+
+
+class TestPureStateNormCheck:
+    """PureState holds a+ O a to max(1e-9, 2r + r^2 + 4u), r = u |a| sqrt(d + 1), and
+    redoes the sum exactly where its rounding error, about u kappa(O) near the floor,
+    may decide; normalize_pure sums exactly there too."""
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_every_normalized_state_passes(self, d):
+        rng = corpus_rng(330 + d)
+        for gram in near_dependent_grams(rng, d, 12):
+            raws = [rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(4)]
+            for raw in [*raws, gram.eigen.eigenvectors[:, 0]]:  # the last along lambda_min
+                a = normalize_pure(gram, raw).coeffs
+                assert np.array_equal(PureState(gram, a).coeffs, a)
+
+    def test_normalized_state_at_the_floor_passes(self):
+        # a+ O a of this state recomputes to 0.9999997940015829 at s = 1 - 1e-10.
+        g = overlap2(1 - 1e-10)
+        a = normalize_pure(g, [1, -1]).coeffs
+        assert np.array_equal(PureState(g, a).coeffs, a)
+
+    @pytest.mark.parametrize("factor", [2.0, 1 + 1e-8])
+    @pytest.mark.parametrize("grams", [
+        *[pytest.param(lambda s=s: [overlap2(s)], id=f"s={s}") for s in [0.5, 1 - 1e-6, 1 - 1e-10, 1 - 1e-11]],
+        *[pytest.param(lambda d=d: near_dependent_grams(corpus_rng(340 + d), d, 12), id=f"d={d}") for d in [8, 64]],
+    ])
+    def test_scaled_state_refused(self, grams, factor):
+        # a along lambda_min, kappa(O) from 3 to near 1e14; the tolerance stays below 3e-9.
+        for g in grams():
+            a = factor * normalize_pure(g, g.eigen.eigenvectors[:, 0]).coeffs
+            with pytest.raises(ValueError, match=r"^state norm a\+Oa = \S+ is not 1 within (\S+)$") as err:
+                PureState(g, a)
+            assert abs(exact_norm2(g.matrix, a) - factor**2) < 1e-8
+            assert float(re.search(r"within (\S+)$", str(err.value))[1]) < 3e-9
+
+    @pytest.mark.parametrize("off, refused", [(2e-9, True), (-2e-9, True), (5e-10, False)])
+    def test_tolerance_is_1e_9_at_small_kappa(self, off, refused):
+        # kappa(O) = 3: r, near 2e-16, leaves the tolerance at 1e-9.
+        g = overlap2(0.5)
+        a = normalize_pure(g, [1.0, 0.3]).coeffs * np.sqrt(1 + off)
+        if refused:
+            with pytest.raises(ValueError, match=r"^state norm a\+Oa = \S+ is not 1 within 1e-09$"):
+                PureState(g, a)
+        else:
+            PureState(g, a)
+
+    def test_overflowing_bound_refused(self):
+        # a+ O a is finite, 2e300, but |a|^2 overflows: no bound, so refused.
+        with pytest.raises(ValueError, match=r"^state norm a\+Oa = 2\.0\d*e\+300 is not 1 within inf$"):
+            PureState(overlap2(1 - 1e-10), np.array([1.0, -1.0]) * 1e155)
+
+    @pytest.mark.parametrize("o, a", [
+        (overlap2(1 - 1e-10).matrix, np.array([1e155, -1e155])),
+        (np.array([[1.0, 1e-300j], [-1e-300j, 1e10]]), np.array([5e-324 + 3j, 1e100j])),
+        (np.eye(3), np.array([1.0, 0.0, -2.0])),
+        (np.zeros((2, 2)), np.zeros(2)),
+    ])
+    def test_exact_norm2_rounds_once(self, o, a):
+        assert states._exact_norm2(o, a) == exact_norm2(o, a)
+
+    def test_exact_norm2_of_random_states(self):
+        rng = corpus_rng(350)
+        for d in [2, 3, 8]:
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            assert states._exact_norm2(m + m.conj().T, a) == exact_norm2(m + m.conj().T, a)
+
+
 class TestLowdinCoeffs:
     def test_identity_gram_is_born_rule(self):
         state = normalize_pure(identity_gram(), [0.6, 0.8])
@@ -108,7 +203,7 @@ class TestLowdinCoeffs:
     ])
     def test_coherent_image_maps_back(self, s, sign):
         # Near the floor a recomputed a+ O a cancels to about u kappa(O), up to 4e-8
-        # here, so the closed form must be returned without being held to it.
+        # here, so PureState sums it exactly before holding it to 1e-9.
         state = maximally_coherent_image(overlap2(s), sign)
         assert np.allclose(
             lowdin_coeffs(state).real, np.array([1.0, sign]) / np.sqrt(2.0), atol=1e-9
