@@ -272,7 +272,7 @@ def _sweep_table(params: dict, n: int) -> tuple[np.ndarray, np.ndarray]:
         if "gamma" in col:
             a = np.ones((n, 2), dtype=complex)
             a[:, 1] = col["gamma"]
-            norm2 = states._scaling_norm2(o, a, states._norm2(o, a))
+            norm2 = states._scaling_norm2(o, a, states._norm2(o, a), (np.abs(a) ** 2).sum(-1))
             ok &= (norm2 > states._MIN_NORM2) & np.isfinite(norm2)
             w = states._pure_weights(half, a / np.sqrt(norm2)[:, None])
         else:

@@ -41,7 +41,7 @@ class GramMatrix(linalg._Record):
     def __init__(self, matrix: np.ndarray):
         if np.shape(matrix) in ((0, 0), (1, 1)):
             raise ValueError("overlap matrix needs dimension >= 2")
-        a = linalg._hermitian_part(matrix, NotHermitian, "overlap matrix")
+        a = linalg._hermitian_part(matrix, NotHermitian, "overlap matrix")[0]
         d = a.shape[0]
         off = a.copy()  # O - I; later the Cholesky operand O - sigma I
         off.reshape(-1)[:: d + 1] -= 1

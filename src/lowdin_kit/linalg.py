@@ -111,12 +111,12 @@ def _as_real(x, what: str) -> float:
         raise ValueError(f"{what}: integer too large for a float") from None
 
 
-def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
-    """The Hermitian gate: ValueError unless m is square, non-empty and finite;
-    error if max |m_ij - conj(m_ji)| exceeds 1e-10 max(1, ||m||_F). Returns m's
-    Hermitian part, halved as floats into a new array that a second pass returns
-    byte for byte where ||m||_F is finite. ||m||_F^2 is one vdot, non-finite on
-    overflow without a warning; a finite one proves m finite, else m is scanned."""
+def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> tuple[np.ndarray, bool]:
+    """The Hermitian gate: ValueError unless m is square, non-empty and finite; error if
+    max |m_ij - conj(m_ji)| exceeds 1e-10 max(1, ||m||_F). Returns m's Hermitian part, halved
+    as floats into a new array that a second pass returns byte for byte where ||m||_F is finite,
+    and whether it is: the part's ||.||_F is at most m's, so no sum of its entries then overflows.
+    ||m||_F^2 is one vdot, non-finite on overflow without a warning; a finite one proves m finite."""
     a = _as_array(m, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -143,7 +143,7 @@ def _hermitian_part(m, error=NotHermitian, what: str = "matrix") -> np.ndarray:
         part += _ct(part)
     if dev > tol:
         raise error(f"{what} asymmetry {dev:.3e} exceeds {tol:.3e}")
-    return part
+    return part, math.isfinite(norm2)
 
 
 def _check_floor(eig: HermitianEigenDecomposition) -> None:
@@ -181,7 +181,7 @@ def hermitian_eig(m, *, _gated: bool = False) -> HermitianEigenDecomposition:
     The package's own callers pass _gated=True with a matrix the gate has
     already returned, which is diagonalized as it is.
     """
-    sym = m if _gated else _hermitian_part(m)
+    sym = m if _gated else _hermitian_part(m)[0]
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:

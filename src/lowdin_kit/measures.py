@@ -30,8 +30,11 @@ def shannon_entropy(w) -> float:
 
     Zero for a point mass, log2(d) for the uniform distribution.
     """
-    weights = _distribution(w).weights
-    nonzero = weights[weights > _ZERO_CLAMP]
+    return _entropy(_distribution(w).weights)
+
+
+def _entropy(w: np.ndarray) -> float:
+    nonzero = w[w > _ZERO_CLAMP]
     return -float((nonzero * np.log2(nonzero)).sum())
 
 
@@ -51,10 +54,10 @@ def _ipr(w: np.ndarray) -> np.ndarray:
 
 
 def measure_report(w) -> MeasureReport:
-    w = _distribution(w)
-    ipr = float(_ipr(w.weights))
+    weights = _distribution(w).weights
+    ipr = float(_ipr(weights))
     return MeasureReport(
-        entropy=shannon_entropy(w),
+        entropy=_entropy(weights),
         participation_ratio=1.0 / ipr,
         inverse_participation_ratio=ipr,
     )

@@ -67,14 +67,13 @@ def _exact_norm2(o: np.ndarray, a: np.ndarray) -> float:
         return math.inf
 
 
-def _scaling_norm2(o: np.ndarray, a: np.ndarray, norm2):
-    """The a+ O a that normalizes a, for one state or a stack of them: norm2 from _norm2, summed
-    exactly wherever its rounding may exceed 5e-10 of it, half PureState's 1e-9, so the scaled a
-    passes PureState (a stack's finite entries are replaced in place)."""
+def _scaling_norm2(o: np.ndarray, a: np.ndarray, norm2, length2):
+    """The a+ O a that normalizes a, one state or a stack: norm2 from _norm2 of a with |a|^2 =
+    length2, summed exactly wherever its rounding may exceed 5e-10 of it, half PureState's 1e-9,
+    so the scaled a passes PureState (a stack's finite entries are replaced in place)."""
+    inexact = _norm2_error(a.shape[-1], length2) > _TRACE_TOL / 2 * norm2
     if a.ndim == 1:
-        inexact = _norm2_error(a.size, np.vdot(a, a).real) > _TRACE_TOL / 2 * norm2
         return _exact_norm2(o, a) if inexact else norm2
-    inexact = _norm2_error(a.shape[-1], (np.abs(a) ** 2).sum(-1)) > _TRACE_TOL / 2 * norm2
     for i in np.flatnonzero(inexact & np.isfinite(norm2)):
         norm2[i] = _exact_norm2(o[i], a[i])
     return norm2
@@ -83,7 +82,10 @@ def _scaling_norm2(o: np.ndarray, a: np.ndarray, norm2):
 def _pure_weights(half: np.ndarray, a: np.ndarray) -> np.ndarray:
     """|O^{1/2} a|^2 over its sum, over leading stack axes (.T puts them last, where the sums
     broadcast); O^{1/2} a is formed as in _norm2."""
-    w = np.abs(half.dot(a) if a.ndim == 1 else (half @ a[..., None])[..., 0]) ** 2
+    if a.ndim == 1:
+        w = np.abs(half.dot(a)) ** 2
+        return w / w.sum()
+    w = np.abs((half @ a[..., None])[..., 0]) ** 2
     return (w.T / w.sum(-1)).T
 
 
@@ -108,27 +110,35 @@ def _density_weights(rho_lowdin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, w.sum(-1)
 
 
-def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float]:
-    """Complex copy a of raw, one finite entry per basis vector, and a finite a+ O a."""
+def _coefficient_vector(raw, gram: GramMatrix) -> tuple[np.ndarray, float, float]:
+    """Complex copy a of raw, one finite entry per basis vector, a finite a+ O a and |a|^2 (a silent vdot).
+    d (1 + 1e-9) |a|^2 bounds each partial sum of a+ O a: only (d + 1) |a|^2 >= 1e300 takes np.errstate."""
     _check_gram(gram)
     a = _as_array(raw, "state coefficients", copy=True).reshape(-1)
     if a.shape[0] != gram.dim:
         raise ValueError(f"coefficient length {a.shape[0]} != overlap dimension {gram.dim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf entry or a huge one is refused below
+    length2 = float(np.vdot(a, a).real)
+    if (a.size + 1) * length2 < 1e300:  # false for an inf or NaN entry
         norm2 = float(_norm2(gram.matrix, a))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf entry or a huge one is refused below
+            norm2 = float(_norm2(gram.matrix, a))
     if not math.isfinite(norm2):  # the entries are scanned only then, not on every valid state
         what = "contain non-finite entries" if not np.isfinite(a).all() else f"overflow a+Oa = {norm2!r}"
         raise ValueError(f"state coefficients {what}")
-    return a, norm2
+    return a, norm2, length2
 
 
 def _unit_trace_psd(m, what: str) -> np.ndarray:
-    """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0.
-    The PSD check diagonalizes the gate's output as it is, with
-    hermitian_eig(_gated=True)."""
-    m = _hermitian_part(m, InvalidParameters, what)
-    with np.errstate(over="ignore"):  # an overflowing trace is refused as inf
+    """Hermitian part of m from linalg's gate, after checking Tr m = 1 and m >= 0. A finite ||m||_F
+    bounds each partial sum of Tr m by sqrt(d) ||m||_F, so only its overflow needs np.errstate. The
+    PSD check diagonalizes the gate's output as it is, with hermitian_eig(_gated=True)."""
+    m, finite = _hermitian_part(m, InvalidParameters, what)
+    if finite:
         tr = float(m.trace().real)
+    else:
+        with np.errstate(over="ignore"):  # an overflowing trace is refused as inf
+            tr = float(m.trace().real)
     if abs(tr - 1.0) > _TRACE_TOL:
         raise InvalidParameters(f"{what} trace {tr!r} is not 1 within {_TRACE_TOL}")
     lam_min = float(hermitian_eig(m, _gated=True).eigenvalues[0])
@@ -148,8 +158,7 @@ class PureState(_Record):
     _fields = ("gram", "coeffs")
 
     def __init__(self, gram: GramMatrix, coeffs: np.ndarray):
-        a, norm2 = _coefficient_vector(coeffs, gram)
-        length2 = np.vdot(a, a).real
+        a, norm2, length2 = _coefficient_vector(coeffs, gram)
         if abs(norm2 - 1.0) > _TRACE_TOL - _norm2_error(a.size, length2):
             norm2 = _exact_norm2(gram.matrix, a)
             r = _EPS / 2 * math.sqrt((a.size + 1) * length2)
@@ -223,8 +232,8 @@ class WeightDistribution(_Record):
 
 def normalize_pure(gram: GramMatrix, raw) -> PureState:
     """Scale a raw coefficient vector so that a+ O a = 1; near the floor the sum is exact."""
-    a, norm2 = _coefficient_vector(raw, gram)
-    norm2 = _scaling_norm2(gram.matrix, a, norm2)
+    a, norm2, length2 = _coefficient_vector(raw, gram)
+    norm2 = _scaling_norm2(gram.matrix, a, norm2, length2)
     if norm2 <= _MIN_NORM2:
         raise ZeroState("raw coefficient vector has zero norm under the overlap metric")
     return _derived(PureState, gram=gram, coeffs=a / math.sqrt(norm2))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import CORPUS_SEED
 from lowdin_kit import (
     OverlapSpec,
     WeightDistribution,
@@ -23,6 +24,19 @@ def distributions(min_size=2, max_size=8):
         st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=min_size, max_size=max_size)
         .map(lambda xs: np.array(xs) / np.sum(xs))
     )
+
+
+@st.composite
+def sparse_distributions(draw):
+    """Weight vectors of up to 64 entries: a normalized bulk, exact zeros, and
+    weights on both sides of the entropy's 1e-15 clamp, in a drawn order."""
+    bulk = draw(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=1, max_size=64))
+    room = 64 - len(bulk)
+    tiny = draw(st.lists(st.sampled_from([1e-15, np.nextafter(1e-15, 0), np.nextafter(1e-15, 1), 1e-300, 5e-324])
+                         | st.floats(min_value=1e-300, max_value=1e-15), max_size=room))
+    zeros = draw(st.integers(0, room - len(tiny)))
+    w = np.concatenate([np.array(bulk) / np.sum(bulk), tiny, np.zeros(zeros)])
+    return w[draw(st.permutations(range(w.size)))]
 
 
 class TestShannonEntropy:
@@ -102,6 +116,15 @@ class TestMeasureReport:
         r = measure_report([0.66, 0.34])
         assert len(built) == 1
         assert r == expected
+
+    @seed(CORPUS_SEED)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(w=sparse_distributions())
+    def test_fields_equal_the_three_measures_bit_for_bit(self, w):
+        r = measure_report(w)
+        assert r.entropy.hex() == shannon_entropy(w).hex()
+        assert r.participation_ratio.hex() == participation_ratio(w).hex()
+        assert r.inverse_participation_ratio.hex() == inverse_participation_ratio(w).hex()
 
 
 class TestProperties:

@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -786,3 +787,129 @@ class TestInvariants:
         # the 2-d analogue is the (+) coherent image, defined for s <= 0
         w = weights_pure(maximally_coherent_image(overlap2(s), +1)).weights
         assert np.max(np.abs(w - 0.5)) <= 1e-9
+
+
+def _errstate_coefficient_vector(raw, gram):
+    """The coefficient check as it reads with np.errstate entered for every state."""
+    a = np.array(raw, dtype=complex).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = float(a.conj().dot(gram.matrix).dot(a).real)
+    if not np.isfinite(norm2):
+        what = "contain non-finite entries" if not np.isfinite(a).all() else f"overflow a+Oa = {norm2!r}"
+        raise ValueError(f"state coefficients {what}")
+    return a, norm2, float(np.vdot(a, a).real)
+
+
+def _errstate_unit_trace_psd(m, what):
+    """The trace and PSD checks as they read with np.errstate entered for every matrix."""
+    m = states._hermitian_part(m, InvalidParameters, what)[0]
+    with np.errstate(over="ignore"):
+        tr = float(m.trace().real)
+    if abs(tr - 1.0) > states._TRACE_TOL:
+        raise InvalidParameters(f"{what} trace {tr!r} is not 1 within {states._TRACE_TOL}")
+    lam_min = float(np.linalg.eigh(m)[0][0])
+    if lam_min < -states._PSD_TOL:
+        raise InvalidParameters(f"{what} has eigenvalue {lam_min:.3e} below -{states._PSD_TOL:.0e}")
+    return m
+
+
+def _at_margin(d, side, seed):
+    """A d-entry a with (d + 1) |a|^2 just below (side -1) or just above (+1) 1e300."""
+    rng = corpus_rng(seed)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    a = v * np.sqrt(1e300 * (1 + side * 1e-6) / ((d + 1) * np.vdot(v, v).real))
+    assert ((d + 1) * float(np.vdot(a, a).real) < 1e300) == (side < 0)
+    return a
+
+
+PURE_REFERENCE = ("_coefficient_vector", _errstate_coefficient_vector)
+RHO_REFERENCE = ("_unit_trace_psd", _errstate_unit_trace_psd)
+
+
+class TestErrstateGuards:
+    """Finite states and operators enter no np.errstate; past each guard the
+    errstate path runs, with the outcome of a spelled-out errstate reference."""
+
+    @pytest.fixture
+    def entries(self, monkeypatch):
+        calls, errstate = [], np.errstate
+
+        def counted(**kwargs):
+            calls.append(kwargs)
+            return errstate(**kwargs)
+
+        monkeypatch.setattr(np, "errstate", counted)
+        return calls
+
+    @staticmethod
+    def outcome(build, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = build(*args)
+            except (ValueError, LowdinKitError) as exc:
+                return type(exc).__name__, str(exc)
+        if isinstance(out, DensityOperator):
+            return "ok", out.coeffs.tobytes(), out._rho_lowdin.tobytes()
+        return "ok", (out.coeffs if isinstance(out, PureState) else out.matrix).tobytes()
+
+    def check(self, entries, build, args, reference, expected_entries):
+        """build(*args)'s outcome, after checking its np.errstate entries and that
+        it equals the outcome with the check named by reference spelled out."""
+        got = self.outcome(build, *args)
+        assert len(entries) == expected_entries
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(states, *reference)
+            assert self.outcome(build, *args) == got
+        return got
+
+    @pytest.mark.parametrize("d", [2, 8, 32])
+    def test_finite_states_and_operators_take_none(self, entries, d):
+        rng = corpus_rng(3400 + d)
+        g = random_gram_from(rng, d)
+        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = x @ x.conj().T
+        rho /= np.trace(rho).real
+        for build, args, reference in ((normalize_pure, (g, a), PURE_REFERENCE),
+                                       (PureState, (g, normalize_pure(g, a).coeffs), PURE_REFERENCE),
+                                       (DensityOperator, (g, rho), RHO_REFERENCE),
+                                       (LowdinTransformedState, (rho,), RHO_REFERENCE)):
+            entries.clear()
+            assert self.check(entries, build, args, reference, 0)[0] == "ok"
+
+    @pytest.mark.parametrize("d", [2, 32])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["below", "above"])
+    @pytest.mark.parametrize("build", [normalize_pure, PureState], ids=["normalize_pure", "PureState"])
+    def test_pure_entries_at_the_margin(self, entries, d, side, build):
+        g = random_gram_from(corpus_rng(3500 + d), d)
+        got = self.check(entries, build, (g, _at_margin(d, side, 3600 + d)), PURE_REFERENCE, int(side > 0))
+        # |a|^2 is about 1e300 / (d + 1): normalize_pure scales it to 1, PureState refuses it.
+        assert got[0] == ("ok" if build is normalize_pure else "ValueError")
+
+    @pytest.mark.parametrize("build", [normalize_pure, PureState], ids=["normalize_pure", "PureState"])
+    @pytest.mark.parametrize("case", ["overflowing length", "finite length", "nan entry"])
+    def test_overflowing_norm_is_refused(self, entries, build, case):
+        if case == "overflowing length":  # |a|^2 and a+ O a overflow
+            g, a = overlap2(0.5), [1e155, 1e155]
+        elif case == "finite length":  # |a|^2 = 5.8e307 is finite, a+ O a = 925 |a|^2 / 32 is not
+            g, a = GramMatrix(0.1 * np.eye(32) + 0.9), np.full(32, np.sqrt(1.8e306))
+        else:
+            g, a = overlap2(0.5), [np.nan, 1.0]
+        got = self.check(entries, build, (g, a), PURE_REFERENCE, 1)
+        want = "contain non-finite entries" if case == "nan entry" else "overflow a+Oa = inf"
+        assert got == ("ValueError", f"state coefficients {want}")
+
+    @pytest.mark.parametrize("build", [lambda m: DensityOperator(GramMatrix(np.eye(3)), m),
+                                       LowdinTransformedState], ids=["DensityOperator", "LowdinTransformedState"])
+    @pytest.mark.parametrize("case, message", [
+        ("finite trace", "has eigenvalue -1.000e+200 below -1e-10"),
+        ("infinite trace", "trace inf is not 1 within 1e-09"),
+    ])
+    def test_overflowing_frobenius_norm(self, entries, build, case, message):
+        if case == "finite trace":  # ||rho||_F overflows, Tr rho = 1
+            m = np.array([[1e200, 1, 1], [1, -1e200, 1], [1, 1, 1]])
+        else:
+            m = np.diag([1e308, 1e308, 1.0])
+        got = self.check(entries, build, (m,), RHO_REFERENCE, 1)
+        assert got[0] == "InvalidParameters" and got[1].endswith(message)

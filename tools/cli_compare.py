@@ -9,7 +9,9 @@ commands that use them in DIR/commands.json: `orthogonalize` bases at
 d = 2 ... 64 and 256 with all three methods, `--order` and `--out`; `weights` pure
 states and complex density matrices at d = 2 ... 32 over dense and pairwise
 Grams; sweeps over both families, failing steps included (among them a
-degenerate Tr(O rho) and an overflowing a+ O a, refused on replay); `paper-check`;
+degenerate Tr(O rho) and an overflowing a+ O a, refused on replay); `weights`
+states on both sides of the bounds below which a+ O a and Tr rho are summed
+without np.errstate; `paper-check`;
 malformed inputs (text, bools, null, 3-element pairs, 10**400, NaN and
 Infinity literals, dim below 2, ...); zeros whose signs eigh reads
 (purely imaginary overlaps and rho off-diagonals with -0.0 real parts, a
@@ -328,6 +330,27 @@ def _corpus(rng) -> tuple[dict, list]:
     for name, obj in refusals.items():
         add(f"sweep.{name}", ["sweep", "--spec", f"sweep_{name}.json", "--out", f"out/{name}.csv"],
             **{f"sweep_{name}.json": obj})
+    # States on both sides of the guards that decide where a+ O a and Tr rho
+    # are summed under np.errstate: (d + 1) |a|^2 just below and just above
+    # 1e300, an a+ O a that overflows with |a|^2 and one that overflows alone,
+    # and a rho whose ||rho||_F overflows, with a finite and an infinite trace.
+    # Added last.
+    guards = {}
+    for d in (2, 32):
+        o = _overlap(rng, d)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        for side, sign in (("below", -1), ("above", 1)):
+            a = v * np.sqrt(1e300 * (1 + sign * 1e-6) / ((d + 1) * np.vdot(v, v).real))
+            guards[f"pure.d{d}.{side}"] = {"gram": _gram(o, True), "pure": _pairs(a)}
+    guards["pure.overflow"] = {"gram": {"dim": 2, "overlaps": [[1, 2, 0.5, 0.0]]}, "pure": _pairs([1e155, 1e155])}
+    guards["pure.overflow_finite_length"] = {"gram": _gram(0.1 * np.eye(32) + 0.9, True),
+                                             "pure": _pairs(np.full(32, np.sqrt(1.8e306)))}
+    identity = {"dim": 3, "overlaps": []}
+    guards["rho.overflow_finite_trace"] = {"gram": identity, "rho": _pairs([[1e200, 1, 1], [1, -1e200, 1], [1, 1, 1]])}
+    guards["rho.overflow_infinite_trace"] = {"gram": identity, "rho": _pairs(np.diag([1e308, 1e308, 1.0]))}
+    for name, obj in guards.items():
+        f = f"state_guard_{name.replace('.', '_')}.json"
+        add(f"weights.guard.{name}", ["weights", "--state", f], **{f: obj})
     return files, commands
 
 
